@@ -99,6 +99,23 @@ def test_structure_table_json_roundtrip(so7):
     assert back.labels == so7.labels
 
 
+# bracket-table checksums of the seed construction; any change to a structure
+# constant, a label or the label order moves them
+SEED_CHECKSUMS = {
+    "so5": "c1e470481498e4fd",
+    "so7": "65d4936435232e96",
+    "so9": "f5116c3a4b3be3d2",
+    "g2": "22534bb87aa086bd",
+}
+
+
+def test_structure_table_checksums_pinned(so7, emb):
+    assert build_so_odd(2).checksum() == SEED_CHECKSUMS["so5"]
+    assert so7.checksum() == SEED_CHECKSUMS["so7"]
+    assert build_so_odd(4).checksum() == SEED_CHECKSUMS["so9"]
+    assert emb.g2.checksum() == SEED_CHECKSUMS["g2"]
+
+
 def test_g2_root_data(emb):
     datum = build_g2_root_data()
     assert datum.root_count == 12
