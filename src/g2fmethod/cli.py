@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .embedding import (
     EXPECTED_ARROWS,
+    Embedding,
     embed_g2,
     inclusion_lattice,
     intersect_parabolic,
@@ -232,10 +233,8 @@ def cmd_embedding(args) -> int:
 
 def cmd_parabolic(args) -> int:
     mask = tuple(int(x) for x in args.mask.split(","))
-    if args.algebra == "so7":
-        table = build_so_odd(3)
-    else:
-        table = embed_g2().g2
+    so7 = build_so_odd(3)
+    table = so7 if args.algebra == "so7" else embed_g2(so7).g2
     p = parabolic(table, mask)
     text = (
         f"levi roots: {', '.join(str(l) for l in p.levi_root_labels)}\n"
@@ -251,7 +250,7 @@ def cmd_hilbert(args) -> int:
     if L == 0:
         text = "b(0,0) = 1"
         payload = {
-            "max_degree": 1,
+            "max_degree": 0,
             "entries": [{"l": 0, "t": 0, "b": 1}],
             "series_match": True,
             "mismatches": [],
@@ -394,13 +393,12 @@ def _suite_structure() -> Tuple[bool, str]:
         and so7.jacobi_check()
         and build_so_odd(2).dimension == 10
     )
-    emb = embed_g2()
+    emb = embed_g2(so7)
     ok = ok and emb.g2.dimension == 14 and emb.g2.jacobi_check()
     return ok, "so(7) dim 21, 9 positive roots, Jacobi OK; image dim 14"
 
 
-def _suite_lattice() -> Tuple[bool, str]:
-    emb = embed_g2()
+def _suite_lattice(emb: Embedding) -> Tuple[bool, str]:
     lat = inclusion_lattice(emb)
     ok = lat.arrows == EXPECTED_ARROWS and _meets_match_inclusions(emb, lat)
     # the drawn cross arrows realize the meet exactly
@@ -568,7 +566,7 @@ def cmd_verify(args) -> int:
     ctx = SolverContext()
     suites = [
         ("structure", lambda: _suite_structure()),
-        ("lattice", lambda: _suite_lattice()),
+        ("lattice", lambda: _suite_lattice(ctx.emb)),
         ("operator", lambda: _suite_operator(ctx)),
         ("hilbert", lambda: _suite_hilbert()),
         ("theorem", lambda: _suite_theorem(ctx)),

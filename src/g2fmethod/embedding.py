@@ -23,14 +23,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .liealg import (
     Element,
     Label,
+    SparseMatrix,
     StructureTable,
     WeightVec,
     alpha_weight,
     build_so_odd,
     eps_weight,
-    mat_commutator,
     mat_flatten,
-    mat_is_zero,
+    sparse_commutator,
     _fill_brackets,
 )
 from .linsolve import SpanBuilder
@@ -49,7 +49,6 @@ class Embedding:
     so7: StructureTable
     g2: StructureTable
     generator_images: Dict[Label, Element]
-    image_span: SpanBuilder
 
     def image_of(self, x: Element) -> Element:
         """Push a subalgebra element (g2 labels) into so(7) coordinates."""
@@ -126,53 +125,44 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
         if not check.add(mat_flatten(matrices[l])):
             raise ValueError("labeled basis is dependent")
 
-    # roots from Cartan eigenvalues
-    roots: Dict[Label, WeightVec] = {}
-    simple_coords: Dict[Label, Tuple[int, ...]] = {}
-    for l in labels:
-        if not isinstance(l, int):
-            continue
-        pair_vals = []
-        for h in ("h1", "h2"):
-            br = mat_commutator(matrices[h], matrices[l])
-            ratio = _eigen_ratio(br, matrices[l])
-            pair_vals.append(ratio)
-        a1, a2 = _alpha_from_pairings(*pair_vals)
-        roots[l] = alpha_weight((a1, a2))
-        if a1.denominator != 1 or a2.denominator != 1:
-            raise ValueError(f"non-integral root for {l}")
-        simple_coords[l] = (int(a1), int(a2))
-
     g2 = StructureTable(
         name="g2",
         labels=labels,
-        roots=roots,
-        simple_coords=simple_coords,
+        roots={},
+        simple_coords={},
         cartan_labels=["h1", "h2"],
         matrices=matrices,
         brackets={},
     )
+    # roots from Cartan eigenvalues
+    for l in labels:
+        if not isinstance(l, int):
+            continue
+        base = g2.entries[l]
+        pair_vals = [_eigen_ratio(sparse_commutator(g2.entries[h], base), base) for h in ("h1", "h2")]
+        a1, a2 = _alpha_from_pairings(*pair_vals)
+        g2.roots[l] = alpha_weight((a1, a2))
+        if a1.denominator != 1 or a2.denominator != 1:
+            raise ValueError(f"non-integral root for {l}")
+        g2.simple_coords[l] = (int(a1), int(a2))
     _fill_brackets(g2)
 
-    emb = Embedding(so7=so7, g2=g2, generator_images=images, image_span=span)
+    emb = Embedding(so7=so7, g2=g2, generator_images=images)
     _verify_homomorphism(emb)
     return emb
 
 
-def _eigen_ratio(m, base) -> Fraction:
+def _eigen_ratio(m: SparseMatrix, base: SparseMatrix) -> Fraction:
     """Scalar c with m = c*base; requires base nonzero and m proportional."""
-    if mat_is_zero(m):
+    if not m:
         return Fraction(0)
-    for i, row in enumerate(base):
-        for j, x in enumerate(row):
-            if x != 0:
-                c = m[i][j] / x
-                for r2, rowb in zip(m, base):
-                    for a, b in zip(r2, rowb):
-                        if a != b * c:
-                            raise ValueError("not an eigenvector")
-                return c
-    raise ValueError("zero base matrix")
+    if not base:
+        raise ValueError("zero base matrix")
+    ij, x = next(iter(base.items()))
+    c = m.get(ij, 0) / x
+    if m != {k: c * v for k, v in base.items()}:
+        raise ValueError("not an eigenvector")
+    return c
 
 
 def _verify_homomorphism(emb: Embedding) -> None:

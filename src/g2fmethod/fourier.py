@@ -55,7 +55,7 @@ def extract_diffop(module: VermaModule, x: Element, max_order: int) -> DiffOpera
     Coefficients are recovered monomial by monomial: applying the operator to
     a monomial whose exponents equal a derivative multi-index isolates that
     index's coefficients once lower indices are known.  The result is then
-    checked against the transported action on two degrees beyond the
+    checked against the transported action on the five degrees beyond the
     interpolation range; any residual raises (the order bound was too low).
     """
     coeffs: Dict[Tuple[Monomial, Monomial], LambdaPoly] = {}

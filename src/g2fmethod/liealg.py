@@ -16,6 +16,11 @@ normalization of the short roots, keeps every structure constant rational,
 and gives each pair [g_a, g_-a] a non-negative coroot.  All downstream
 bracket data is computed from these matrices, never assumed.
 
+The matrices are stored dense, but every product is formed from their
+nonzero entries only: a root matrix has two, a Cartan matrix at most 2n+1.
+Each commutator [A, B] = AB - BA is expressed in the basis through one
+elimination over the sparse basis matrices, done once per table.
+
 Positive roots are labeled 1..n^2 in graded lexicographic order on their
 simple-basis coordinates (lower total degree first, then lexicographically
 larger first), negatives by the opposite sign, and the Cartan basis by
@@ -25,60 +30,51 @@ h_n = 1/2 [g_n, g_-n]  for the short one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linsolve import SpanBuilder
 from .scalars import LambdaPoly, rational_from_string, rational_to_string
 
 Label = Union[int, str]
 Element = Dict[Label, Fraction]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
+SparseMatrix = Dict[Tuple[int, int], Fraction]
 
 # ---------------------------------------------------------------------------
-# small exact-matrix helpers
+# matrices: dense for storage, sparse for products
 # ---------------------------------------------------------------------------
-
-
-def mat_zero(size: int) -> List[List[Fraction]]:
-    return [[Fraction(0)] * size for _ in range(size)]
-
-
-def mat_freeze(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    return tuple(tuple(row) for row in m)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(ab, ba))
 
 
 def mat_flatten(a: Matrix) -> List[Fraction]:
     return [x for row in a for x in row]
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
+def sparse_entries(a: Matrix) -> SparseMatrix:
+    """The nonzero entries of a dense matrix, keyed by (row, column)."""
+    return {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x != 0}
+
+
+def dense_matrix(entries: SparseMatrix, size: int) -> Matrix:
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for (i, j), x in entries.items():
+        rows[i][j] = x
+    return tuple(tuple(row) for row in rows)
+
+
+def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """AB - BA, formed from the nonzero entries of A and B only."""
+    out: SparseMatrix = {}
+    for (i, k), x in a.items():
+        for (l, j), y in b.items():
+            if k == l:
+                out[(i, j)] = out.get((i, j), 0) + x * y
+            if j == i:
+                out[(l, k)] = out.get((l, k), 0) - y * x
+    return {ij: v for ij, v in out.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +185,6 @@ def alpha_weight(coords: Sequence) -> WeightVec:
     return WeightVec(tuple(coords), "alpha")
 
 
-def eps_from_eta(coords: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Simple-basis coordinates of so(2n+1) to orthonormal coordinates."""
-    n = len(coords)
-    out = [Fraction(0)] * n
-    for i, c in enumerate(coords):
-        # eta_i = eps_i - eps_{i+1} for i < n-1 index, eta_n = eps_n
-        out[i] += c
-        if i + 1 < n:
-            out[i + 1] -= c
-    return tuple(out)
-
-
 def eta_from_eps(coords: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     n = len(coords)
     out = []
@@ -209,16 +193,6 @@ def eta_from_eps(coords: Sequence[Fraction]) -> Tuple[Fraction, ...]:
         acc += coords[i]
         out.append(acc)
     return tuple(out)
-
-
-# fundamental-weight helpers for the pair of algebras in play
-def so7_omega(i: int) -> WeightVec:
-    table = {
-        1: (1, 0, 0),
-        2: (1, 1, 0),
-        3: (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-    }
-    return eps_weight([Fraction(x) for x in table[i]])
 
 
 def g2_psi(i: int) -> WeightVec:
@@ -269,12 +243,17 @@ class StructureTable:
                     out[lc] = out.get(lc, Fraction(0)) + ca * cb * cc
         return {k: v for k, v in out.items() if v != 0}
 
+    @functools.cached_property
+    def entries(self) -> Dict[Label, SparseMatrix]:
+        """The nonzero entries of each basis matrix."""
+        return {l: sparse_entries(m) for l, m in self.matrices.items()}
+
     def matrix_of(self, x: Element) -> Matrix:
-        size = len(next(iter(self.matrices.values())))
-        acc = mat_freeze(mat_zero(size))
+        acc: SparseMatrix = {}
         for l, c in x.items():
-            acc = mat_add(acc, mat_scale(self.matrices[l], c))
-        return acc
+            for ij, v in self.entries[l].items():
+                acc[ij] = acc.get(ij, Fraction(0)) + c * v
+        return dense_matrix(acc, len(next(iter(self.matrices.values()))))
 
     @property
     def dimension(self) -> int:
@@ -450,9 +429,8 @@ def _positive_roots_so_odd(n: int) -> List[Tuple[Tuple[int, ...], Tuple[Fraction
     return roots
 
 
-def _unit_root_matrix(n: int, eps: Tuple[Fraction, ...]) -> Matrix:
+def _unit_root_entries(n: int, eps: Tuple[Fraction, ...]) -> SparseMatrix:
     """The coefficient-1 matrix of a root vector from the classical formulas."""
-    size = 2 * n + 1
 
     def pos(k: int) -> int:
         # e_1..e_n -> 0..n-1, e_0 -> n, e_-1..e_-n -> n+1..2n
@@ -462,35 +440,24 @@ def _unit_root_matrix(n: int, eps: Tuple[Fraction, ...]) -> Matrix:
             return n
         return n - k
 
-    m = mat_zero(size)
+    one = Fraction(1)
     support = [(i + 1, c) for i, c in enumerate(eps) if c != 0]
     if len(support) == 2:
         (i, ci), (j, cj) = support
         if ci == 1 and cj == -1:
-            m[pos(i)][pos(j)] = Fraction(1)
-            m[pos(-j)][pos(-i)] = Fraction(-1)
-        elif ci == -1 and cj == 1:
-            m[pos(j)][pos(i)] = Fraction(1)
-            m[pos(-i)][pos(-j)] = Fraction(-1)
-        elif ci == 1 and cj == 1:
-            m[pos(i)][pos(-j)] = Fraction(1)
-            m[pos(j)][pos(-i)] = Fraction(-1)
-        elif ci == -1 and cj == -1:
-            m[pos(-i)][pos(j)] = Fraction(1)
-            m[pos(-j)][pos(i)] = Fraction(-1)
-        else:
-            raise ValueError(f"not a root: {eps}")
+            return {(pos(i), pos(j)): one, (pos(-j), pos(-i)): -one}
+        if ci == -1 and cj == 1:
+            return {(pos(j), pos(i)): one, (pos(-i), pos(-j)): -one}
+        if ci == 1 and cj == 1:
+            return {(pos(i), pos(-j)): one, (pos(j), pos(-i)): -one}
+        if ci == -1 and cj == -1:
+            return {(pos(-i), pos(j)): one, (pos(-j), pos(i)): -one}
     elif len(support) == 1:
         (i, ci) = support[0]
         if ci == 1:
-            m[pos(i)][pos(0)] = Fraction(1)
-            m[pos(0)][pos(-i)] = Fraction(-1)
-        else:
-            m[pos(-i)][pos(0)] = Fraction(1)
-            m[pos(0)][pos(i)] = Fraction(-1)
-    else:
-        raise ValueError(f"not a root: {eps}")
-    return mat_freeze(m)
+            return {(pos(i), pos(0)): one, (pos(0), pos(-i)): -one}
+        return {(pos(-i), pos(0)): one, (pos(0), pos(i)): -one}
+    raise ValueError(f"not a root: {eps}")
 
 
 def _is_sum_or_short(eps: Tuple[Fraction, ...]) -> bool:
@@ -511,24 +478,24 @@ def build_so_odd(n: int) -> StructureTable:
     )
     roots: Dict[Label, WeightVec] = {}
     simple_coords: Dict[Label, Tuple[int, ...]] = {}
-    matrices: Dict[Label, Matrix] = {}
+    entries: Dict[Label, SparseMatrix] = {}
 
     for idx, (simple, eps) in enumerate(positives, start=1):
         roots[idx] = eps_weight(eps)
         simple_coords[idx] = simple
-        matrices[idx] = _unit_root_matrix(n, eps)
+        entries[idx] = _unit_root_entries(n, eps)
         neg = tuple(-c for c in eps)
         roots[-idx] = eps_weight(neg)
         simple_coords[-idx] = tuple(-c for c in simple)
-        unit = _unit_root_matrix(n, neg)
         # rationalized normalization: -2 on negative sum-type and short roots
-        matrices[-idx] = mat_scale(unit, Fraction(-2)) if _is_sum_or_short(eps) else unit
+        scale = -2 if _is_sum_or_short(eps) else 1
+        entries[-idx] = {ij: scale * x for ij, x in _unit_root_entries(n, neg).items()}
 
     # Cartan from the bracket prescriptions on the simple pairs; the n-th
     # simple root is the short one and its bracket is halved.
     for i in range(1, n + 1):
-        matrices[f"h{i}"] = mat_commutator(matrices[i], matrices[-i])
-    matrices[f"h{n}"] = mat_scale(matrices[f"h{n}"], Fraction(1, 2))
+        entries[f"h{i}"] = sparse_commutator(entries[i], entries[-i])
+    entries[f"h{n}"] = {ij: x / 2 for ij, x in entries[f"h{n}"].items()}
 
     table = StructureTable(
         name=f"so{2 * n + 1}",
@@ -536,7 +503,7 @@ def build_so_odd(n: int) -> StructureTable:
         roots=roots,
         simple_coords=simple_coords,
         cartan_labels=[f"h{i}" for i in range(1, n + 1)],
-        matrices=matrices,
+        matrices={l: dense_matrix(e, 2 * n + 1) for l, e in entries.items()},
         brackets={},
     )
     _fill_brackets(table)
@@ -544,87 +511,81 @@ def build_so_odd(n: int) -> StructureTable:
 
 
 def _fill_brackets(table: StructureTable) -> None:
-    """Compute the complete bracket table by expressing commutators."""
+    """Compute the complete bracket table by expressing commutators.
+
+    Each commutator is formed from the nonzero entries of the two basis
+    matrices and expressed in the basis by one elimination done up front.
+    """
     order = list(table.labels)
-    flat = {l: mat_flatten(table.matrices[l]) for l in order}
-    span = SpanBuilder(len(next(iter(flat.values()))))
-    for l in order:
-        if not span.add(flat[l]):
-            raise ValueError(f"basis element {l} is dependent")
-    solver = CoordinateSolver([flat[l] for l in order])
-
-    def express(vec: List[Fraction]) -> Element:
-        coeffs = solver.solve(vec)
-        if coeffs is None:
-            raise ValueError("bracket left the algebra span")
-        return {order[i]: c for i, c in enumerate(coeffs) if c != 0}
-
+    solver = CoordinateSolver({l: table.entries[l] for l in order})
     for a in order:
         for b in order:
             if (a, b) in table.brackets:
                 continue
-            m = mat_commutator(table.matrices[a], table.matrices[b])
-            if mat_is_zero(m):
-                table.brackets[(a, b)] = {}
-                table.brackets[(b, a)] = {}
-                continue
-            val = express(mat_flatten(m))
+            m = sparse_commutator(table.entries[a], table.entries[b])
+            val = solver.express(m) if m else {}
+            if val is None:
+                raise ValueError("bracket left the algebra span")
             table.brackets[(a, b)] = val
             table.brackets[(b, a)] = {k: -v for k, v in val.items()}
 
 
 class CoordinateSolver:
-    """Express vectors over a fixed independent row set, elimination done once."""
+    """Express sparse vectors over a fixed independent basis, elimination done once.
 
-    def __init__(self, basis_rows: List[List[Fraction]]):
-        width = len(basis_rows[0])
-        nbasis = len(basis_rows)
-        rows = [
-            list(r) + [Fraction(1) if j == i else Fraction(0) for j in range(nbasis)]
-            for i, r in enumerate(basis_rows)
-        ]
-        pivots: List[int] = []
-        r = 0
-        for c in range(width):
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        if r < nbasis:
-            raise ValueError("rows are dependent")
-        self.rows = rows
-        self.pivots = pivots
-        self.width = width
-        self.nbasis = nbasis
+    Each basis vector is reduced against the rows kept so far, together with
+    a record of the basis combination it stands for.  The rows stay fully
+    reduced (each vanishes at every other row's pivot), so the coordinate of
+    a vector along a row is simply its entry at that row's pivot.
+    """
 
-    def solve(self, vec: List[Fraction]) -> Optional[List[Fraction]]:
-        v = list(vec)
-        coeffs = [Fraction(0)] * self.nbasis
-        for r, pc in enumerate(self.pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                row = self.rows[r]
-                for j in range(self.width):
-                    if row[j] != 0:
-                        v[j] -= f * row[j]
-                for j in range(self.nbasis):
-                    if row[self.width + j] != 0:
-                        coeffs[j] += f * row[self.width + j]
-        if any(x != 0 for x in v):
+    def __init__(self, basis: Dict[Label, Dict]):
+        self.labels = list(basis)
+        self.rows: Dict = {}       # pivot -> (reduced vector, its basis coordinates)
+        for label, vec in basis.items():
+            v, coords = self._reduce(vec)
+            if not v:
+                raise ValueError(f"basis element {label} is dependent")
+            combo = {label: Fraction(1)}
+            _axpy(combo, -1, coords)
+            pivot = min(v)
+            pv = v[pivot]
+            v = {k: x / pv for k, x in v.items()}
+            combo = {k: x / pv for k, x in combo.items()}
+            for qv, qc in self.rows.values():
+                f = qv.get(pivot)
+                if f:
+                    _axpy(qv, -f, v)
+                    _axpy(qc, -f, combo)
+            self.rows[pivot] = (v, combo)
+
+    def _reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
+        """(vec minus its projection on the rows, the projection's basis coordinates)."""
+        residual = dict(vec)
+        coords: Dict = {}
+        for pivot, f in vec.items():
+            row = self.rows.get(pivot)
+            if row is not None:
+                _axpy(residual, -f, row[0])
+                _axpy(coords, f, row[1])
+        return residual, coords
+
+    def express(self, vec: Dict) -> Optional[Element]:
+        """Basis coordinates of ``vec`` in label order, or None outside the span."""
+        residual, coords = self._reduce(vec)
+        if residual:
             return None
-        return coeffs
+        return {l: coords[l] for l in self.labels if l in coords}
+
+
+def _axpy(y: Dict, a: Fraction, x: Dict) -> None:
+    """y += a*x in place, dropping entries that cancel."""
+    for k, v in x.items():
+        s = y.get(k, 0) + a * v
+        if s:
+            y[k] = s
+        else:
+            y.pop(k, None)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .embedding import Embedding
 from .fourier import extract_diffop, sl2_triple_ops, verma_from_xi
 from .liealg import (
     WeightVec,
+    _positive_roots_so_odd,
     alpha_weight,
     build_g2_root_data,
     eps_weight,
@@ -533,8 +534,7 @@ def nonstandard_verdict(lam0: Fraction) -> NonstandardVerdict:
 
     so7_diff = at(sym_so7)
     verdict.so7_difference = so7_diff
-    so7 = _shared_so7()
-    so7_roots = [(l, so7.simple_coords[l]) for l in so7.positive_root_labels]
+    so7_roots = [(i + 1, simple) for i, (simple, _) in enumerate(_positive_roots_so_odd(3))]
     eta = eta_from_eps(so7_diff.coords)
     verdict.so7_witness = positive_combination(eps_weight(eta), so7_roots)
     verdict.nonstandard_so7 = verdict.so7_witness is not None
@@ -549,17 +549,6 @@ def nonstandard_verdict(lam0: Fraction) -> NonstandardVerdict:
     verdict.g2_witness_alt = positive_combination(g2_alt, g2_roots)
     verdict.nonstandard_g2 = verdict.g2_witness is not None
     return verdict
-
-
-_SO7_CACHE = {}
-
-
-def _shared_so7():
-    if "so7" not in _SO7_CACHE:
-        from .liealg import build_so_odd
-
-        _SO7_CACHE["so7"] = build_so_odd(3)
-    return _SO7_CACHE["so7"]
 
 
 # ---------------------------------------------------------------------------

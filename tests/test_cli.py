@@ -117,6 +117,12 @@ def test_hilbert_degree_zero(capsys):
     code, out = run(capsys, ["hilbert", "--max-degree", "0"])
     assert code == 0
     assert "b(0,0) = 1" in out
+    code, out = run(capsys, ["hilbert", "--max-degree", "0", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload, "hilbert")
+    assert payload["max_degree"] == 0
+    assert payload["entries"] == [{"l": 0, "t": 0, "b": 1}]
 
 
 def test_hilbert_json(capsys):

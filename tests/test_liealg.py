@@ -61,6 +61,54 @@ def test_defining_form_membership(so7):
                 assert lhs + rhs == 0, f"form violated by {label}"
 
 
+def _dense_combination(table, x):
+    """sum_l c_l * M_l over the stored dense basis matrices, entry by entry."""
+    size = len(table.matrices[table.labels[0]])
+    out = [[F(0)] * size for _ in range(size)]
+    for label, c in x.items():
+        m = table.matrices[label]
+        for i in range(size):
+            for j in range(size):
+                out[i][j] += c * m[i][j]
+    return out
+
+
+def _dense_commutator(a, b):
+    """AB - BA by the textbook triple loop."""
+    size = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(size)) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def _assert_bracket_is_commutator(table, x, y):
+    expected = _dense_commutator(_dense_combination(table, x), _dense_combination(table, y))
+    z = table.bracket(x, y)
+    assert [list(row) for row in table.matrix_of(z)] == expected, (x, y)
+    assert _dense_combination(table, z) == expected, (x, y)
+
+
+def test_so7_brackets_match_dense_commutators(so7):
+    for a in so7.labels:
+        for b in so7.labels:
+            _assert_bracket_is_commutator(so7, {a: F(1)}, {b: F(1)})
+
+
+def test_so9_brackets_match_dense_commutators():
+    so9 = build_so_odd(4)
+    rng = random.Random(11)
+    labels = so9.labels
+    for _ in range(150):
+        _assert_bracket_is_commutator(so9, {rng.choice(labels): F(1)}, {rng.choice(labels): F(1)})
+
+    def combination():
+        return {l: F(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for l in rng.sample(labels, 4)}
+
+    for _ in range(40):
+        _assert_bracket_is_commutator(so9, combination(), combination())
+
+
 def test_cartan_prescriptions(so7):
     assert so7.brackets[(1, -1)] == {"h1": F(1)}
     assert so7.brackets[(2, -2)] == {"h2": F(1)}
