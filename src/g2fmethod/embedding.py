@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import (
+    CoordinateSolver,
     Element,
     Label,
     SparseMatrix,
@@ -74,13 +75,12 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
         -2: {-2: one},
     }
 
-    # bracket closure inside so(7)
-    span = SpanBuilder(49)
+    # bracket closure inside so(7), spanned in so(7) basis coordinates
+    span = CoordinateSolver()
     basis_elems: List[Element] = []
 
     def add(elem: Element) -> bool:
-        vec = mat_flatten(so7.matrix_of(elem))
-        if span.add(vec):
+        if span.add(len(basis_elems), elem):
             basis_elems.append(elem)
             return True
         return False
@@ -119,11 +119,6 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
 
     labels: List[Label] = [-6, -5, -4, -3, -2, -1, "h1", "h2", 1, 2, 3, 4, 5, 6]
     matrices = {l: so7.matrix_of(images[l]) for l in labels}
-
-    check = SpanBuilder(49)
-    for l in labels:
-        if not check.add(mat_flatten(matrices[l])):
-            raise ValueError("labeled basis is dependent")
 
     g2 = StructureTable(
         name="g2",

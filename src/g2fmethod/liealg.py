@@ -531,33 +531,46 @@ def _fill_brackets(table: StructureTable) -> None:
 
 
 class CoordinateSolver:
-    """Express sparse vectors over a fixed independent basis, elimination done once.
+    """Express sparse vectors over an independent basis, eliminating once.
 
-    Each basis vector is reduced against the rows kept so far, together with
-    a record of the basis combination it stands for.  The rows stay fully
-    reduced (each vanishes at every other row's pivot), so the coordinate of
-    a vector along a row is simply its entry at that row's pivot.
+    Vectors are dicts from positions to nonzero values.  Each basis vector is
+    reduced against the rows kept so far, together with a record of the
+    basis combination it stands for, and any of its remaining nonzero
+    positions becomes its pivot.  The rows stay fully reduced (each vanishes
+    at every other row's pivot), so the coordinate of a vector along a row
+    is simply its entry at that row's pivot.
     """
 
-    def __init__(self, basis: Dict[Label, Dict]):
-        self.labels = list(basis)
+    def __init__(self, basis: Optional[Dict[Label, Dict]] = None):
+        self.labels: List[Label] = []
         self.rows: Dict = {}       # pivot -> (reduced vector, its basis coordinates)
-        for label, vec in basis.items():
-            v, coords = self._reduce(vec)
-            if not v:
+        for label, vec in (basis or {}).items():
+            if not self.add(label, vec):
                 raise ValueError(f"basis element {label} is dependent")
-            combo = {label: Fraction(1)}
-            _axpy(combo, -1, coords)
-            pivot = min(v)
-            pv = v[pivot]
-            v = {k: x / pv for k, x in v.items()}
-            combo = {k: x / pv for k, x in combo.items()}
-            for qv, qc in self.rows.values():
-                f = qv.get(pivot)
-                if f:
-                    _axpy(qv, -f, v)
-                    _axpy(qc, -f, combo)
-            self.rows[pivot] = (v, combo)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.labels)
+
+    def add(self, label: Label, vec: Dict) -> bool:
+        """Extend the basis by ``vec``; False, and no change, when it is in the span."""
+        v, coords = self._reduce(vec)
+        if not v:
+            return False
+        combo = {label: Fraction(1)}
+        _axpy(combo, -1, coords)
+        pivot = next(iter(v))
+        pv = v[pivot]
+        v = {k: x / pv for k, x in v.items()}
+        combo = {k: x / pv for k, x in combo.items()}
+        for qv, qc in self.rows.values():
+            f = qv.get(pivot)
+            if f:
+                _axpy(qv, -f, v)
+                _axpy(qc, -f, combo)
+        self.rows[pivot] = (v, combo)
+        self.labels.append(label)
+        return True
 
     def _reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
         """(vec minus its projection on the rows, the projection's basis coordinates)."""
