@@ -134,7 +134,9 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
         if not isinstance(l, int):
             continue
         base = g2.entries[l]
-        pair_vals = [_eigen_ratio(sparse_commutator(g2.entries[h], base), base) for h in ("h1", "h2")]
+        pair_vals = [
+            _eigen_ratio(sparse_commutator(g2.entries[h], base), base) for h in ("h1", "h2")
+        ]
         a1, a2 = _alpha_from_pairings(*pair_vals)
         g2.roots[l] = alpha_weight((a1, a2))
         if a1.denominator != 1 or a2.denominator != 1:

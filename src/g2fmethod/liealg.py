@@ -69,11 +69,11 @@ def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """AB - BA, formed from the nonzero entries of A and B only."""
     out: SparseMatrix = {}
     for (i, k), x in a.items():
-        for (l, j), y in b.items():
-            if k == l:
+        for (r, j), y in b.items():
+            if k == r:
                 out[(i, j)] = out.get((i, j), 0) + x * y
             if j == i:
-                out[(l, k)] = out.get((l, k), 0) - y * x
+                out[(r, k)] = out.get((r, k), 0) - y * x
     return {ij: v for ij, v in out.items() if v != 0}
 
 

@@ -98,7 +98,7 @@ def in_row_span(matrix: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]
 
 
 class SpanBuilder:
-    """Incremental row-echelon basis; used for subalgebra closures."""
+    """Incremental row-echelon basis; used for the parabolic subspace inclusions."""
 
     def __init__(self, width: int):
         self.width = width
@@ -129,10 +129,6 @@ class SpanBuilder:
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
         return all(x == 0 for x in self.reduce(vector))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
 
     def coordinates(self, vector: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """Coefficients of ``vector`` in the stored row basis, or None."""

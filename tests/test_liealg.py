@@ -89,10 +89,11 @@ def _assert_bracket_is_commutator(table, x, y):
     assert _dense_combination(table, z) == expected, (x, y)
 
 
-def test_so7_brackets_match_dense_commutators(so7):
-    for a in so7.labels:
-        for b in so7.labels:
-            _assert_bracket_is_commutator(so7, {a: F(1)}, {b: F(1)})
+def test_so7_and_subalgebra_brackets_match_dense_commutators(so7, emb):
+    for table in (so7, emb.g2):
+        for a in table.labels:
+            for b in table.labels:
+                _assert_bracket_is_commutator(table, {a: F(1)}, {b: F(1)})
 
 
 def test_so9_brackets_match_dense_commutators():
