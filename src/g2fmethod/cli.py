@@ -335,6 +335,8 @@ def cmd_singular(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.degree < 0:
+        raise SystemExit("degree must be non-negative")
     ctx = SolverContext()
     lam = rational_from_string(getattr(args, "lambda"))
     anns = (

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .linsolve import axpy
 from .scalars import LambdaPoly, rational_from_string, rational_to_string
 
 Label = Union[int, str]
@@ -558,7 +559,7 @@ class CoordinateSolver:
         if not v:
             return False
         combo = {label: Fraction(1)}
-        _axpy(combo, -1, coords)
+        axpy(combo, -1, coords)
         pivot = next(iter(v))
         pv = v[pivot]
         v = {k: x / pv for k, x in v.items()}
@@ -566,8 +567,8 @@ class CoordinateSolver:
         for qv, qc in self.rows.values():
             f = qv.get(pivot)
             if f:
-                _axpy(qv, -f, v)
-                _axpy(qc, -f, combo)
+                axpy(qv, -f, v)
+                axpy(qc, -f, combo)
         self.rows[pivot] = (v, combo)
         self.labels.append(label)
         return True
@@ -579,8 +580,8 @@ class CoordinateSolver:
         for pivot, f in vec.items():
             row = self.rows.get(pivot)
             if row is not None:
-                _axpy(residual, -f, row[0])
-                _axpy(coords, f, row[1])
+                axpy(residual, -f, row[0])
+                axpy(coords, f, row[1])
         return residual, coords
 
     def express(self, vec: Dict) -> Optional[Element]:
@@ -589,16 +590,6 @@ class CoordinateSolver:
         if residual:
             return None
         return {l: coords[l] for l in self.labels if l in coords}
-
-
-def _axpy(y: Dict, a: Fraction, x: Dict) -> None:
-    """y += a*x in place, dropping entries that cancel."""
-    for k, v in x.items():
-        s = y.get(k, 0) + a * v
-        if s:
-            y[k] = s
-        else:
-            y.pop(k, None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Two layers:
 
-* plain Gaussian elimination over ``Fraction`` (rref, rank, kernel bases,
-  membership tests) used everywhere a subspace question comes up;
+* sparse Gauss-Jordan elimination over ``Fraction`` (rref, rank, kernel
+  bases) used everywhere a subspace question comes up;
 * fraction-free (Bareiss) elimination over the polynomial ring in the formal
   parameter, used to locate every rational parameter value at which a matrix
   drops rank.  Candidates come from the rational roots of the pivot
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import LambdaPoly, poly_gcd
 
@@ -28,42 +28,60 @@ Matrix = List[Row]
 # ---------------------------------------------------------------------------
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form with deterministic pivoting.
+def _sparse_rref(matrix: Sequence[Sequence[Fraction]]) -> Tuple[List[Dict[int, Fraction]], List[int]]:
+    """Reduced row echelon form as sparse rows, by Gauss-Jordan over dicts.
 
-    Returns (rref matrix, pivot column list).  Pivots are chosen as the first
-    nonzero entry scanning columns left to right, rows top down.
+    Rows are taken one at a time, reduced against the pivot rows kept so far
+    and, when something survives, normalized at their first nonzero column;
+    that column is then cleared from the earlier pivot rows.  The kept rows
+    stay fully reduced, and the reduced row echelon form is unique, so
+    sorting them by pivot gives it exactly.
     """
-    m = [list(row) for row in matrix]
-    if not m:
-        return [], []
-    rows, cols = len(m), len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+    kept: Dict[int, Dict[int, Fraction]] = {}      # pivot column -> its row
+    for row in matrix:
+        v = {j: x for j, x in enumerate(row) if x}
+        for pc in [j for j in v if j in kept]:
+            axpy(v, -v[pc], kept[pc])
+        if not v:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        pc = min(v)
+        pv = v[pc]
+        v = {j: x / pv for j, x in v.items()}
+        for other in kept.values():
+            f = other.get(pc)
+            if f:
+                axpy(other, -f, v)
+        kept[pc] = v
+    pivots = sorted(kept)
+    return [kept[pc] for pc in pivots], pivots
+
+
+def axpy(y: Dict[int, Fraction], a: Fraction, x: Dict[int, Fraction]) -> None:
+    """y += a*x in place, dropping entries that cancel."""
+    for k, v in x.items():
+        s = y.get(k, 0) + a * v
+        if s:
+            y[k] = s
+        else:
+            y.pop(k, None)
+
+
+def rref(matrix: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form, with the zero rows last.
+
+    Returns (rref matrix, pivot column list).
+    """
+    if not matrix:
+        return [], []
+    cols = len(matrix[0])
+    rows, pivots = _sparse_rref(matrix)
+    dense = [[row.get(j, Fraction(0)) for j in range(cols)] for row in rows]
+    dense += [[Fraction(0)] * cols for _ in range(len(matrix) - len(rows))]
+    return dense, pivots
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(matrix)[1])
+    return len(_sparse_rref(matrix)[1])
 
 
 def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
@@ -74,27 +92,20 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     if not matrix:
         return []
     cols = len(matrix[0])
-    red, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
+    rows, pivots = _sparse_rref(matrix)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for row, pc in zip(rows, pivots):
+            x = row.get(fc)
+            if x:
+                v[pc] = -x
         basis.append(v)
     return basis
-
-
-def in_row_span(matrix: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> bool:
-    """True when ``vector`` lies in the row span of ``matrix``."""
-    red, pivots = rref(matrix)
-    v = list(vector)
-    for r, pc in enumerate(pivots):
-        if v[pc] != 0:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, red[r])]
-    return all(x == 0 for x in v)
 
 
 class SpanBuilder:
@@ -238,7 +249,7 @@ def param_solve(M: PMatrix, extra_minor_budget: int = 64) -> ParamSolveResult:
         if K:
             result.solutions.append((lam, K))
     result.solutions.sort(key=lambda t: t[0])
-    residual = pivot_det.deflate_rational_roots()
+    residual = pivot_det.deflate_rational_roots(candidates)
     if residual.degree > 0:
         residual = _certify_minors(M, residual, extra_minor_budget)
         if residual.degree > 0:
@@ -271,7 +282,3 @@ def _certify_minors(M: PMatrix, residual: LambdaPoly, budget: int) -> LambdaPoly
             break
     return residual
 
-
-def param_root_scan(p: LambdaPoly) -> List[Fraction]:
-    """All rational roots of a nonzero parameter polynomial."""
-    return p.rational_roots()

@@ -9,9 +9,10 @@ the engine, so no floating point appears anywhere.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 Rational = Fraction
 
@@ -186,6 +187,9 @@ class LambdaPoly:
     def rational_roots(self) -> list[Fraction]:
         """All rational roots, by the rational-root theorem, sorted.
 
+        The coefficients are scaled to coprime integers first, so only the
+        divisors of the primitive part are tried; each coprime candidate p/q
+        is tested by the integer evaluation  sum a_i p^i q^(n-i) == 0.
         The zero polynomial is rejected: every point would be a root.
         """
         if self.is_zero():
@@ -200,22 +204,30 @@ class LambdaPoly:
             roots.add(Fraction(0))
             coeffs = coeffs[low:]
         if len(coeffs) > 1:
-            denom_lcm = 1
-            for c in coeffs:
-                denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-            ints = [int(c * denom_lcm) for c in coeffs]
-            a0, an = abs(ints[0]), abs(ints[-1])
-            for p in _divisors(a0):
-                for q in _divisors(an):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if self(cand) == 0:
-                            roots.add(cand)
+            ints = _primitive_integers(coeffs)
+            n = len(ints) - 1
+            numerators = _divisors(ints[0])
+            for q in _divisors(ints[-1]):
+                q_powers = [q ** (n - i) for i in range(n + 1)]
+                for p in numerators:
+                    if math.gcd(p, q) != 1:
+                        continue
+                    for sp in (p, -p):
+                        acc = 0
+                        for i in range(n, -1, -1):          # Horner in p, weights q^(n-i)
+                            acc = acc * sp + ints[i] * q_powers[i]
+                        if acc == 0:
+                            roots.add(Fraction(sp, q))
         return sorted(roots)
 
-    def deflate_rational_roots(self) -> "LambdaPoly":
-        """Divide out all rational roots (with multiplicity)."""
+    def deflate_rational_roots(self, roots: Optional[Iterable[Fraction]] = None) -> "LambdaPoly":
+        """Divide out rational roots (with multiplicity).
+
+        ``roots`` are the roots to divide out, for a caller that already has
+        them from ``rational_roots``; by default all of them are found here.
+        """
         p = self
-        for r in self.rational_roots():
+        for r in self.rational_roots() if roots is None else roots:
             factor = LambdaPoly([-r, 1])
             while True:
                 q, rem = p.divmod(factor)
@@ -296,10 +308,13 @@ def parse_lambda_poly(s: str) -> LambdaPoly:
     return out
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _primitive_integers(coeffs: list[Fraction]) -> list[int]:
+    """Coprime integers proportional to ``coeffs``: denominators cleared,
+    integer content divided out."""
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom_lcm) for c in coeffs]
+    content = math.gcd(*ints)
+    return [a // content for a in ints]
 
 
 def _divisors(n: int) -> list[int]:

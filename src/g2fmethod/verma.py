@@ -1,4 +1,4 @@
-"""Degree-truncated scalar generalized Verma module, by PBW straightening.
+"""Scalar generalized Verma module, by a closed-form action of second order.
 
 The parabolic is the one crossing out the first simple root of so(7); its
 opposite nilradical is commutative with ordered basis
@@ -8,14 +8,22 @@ opposite nilradical is commutative with ordered basis
 so module vectors are polynomials in the y's applied to the highest weight
 vector.  The inducing character takes the value  lam * (diagonal at the
 first plus vector)  on Cartan elements and zero on the rest of the
-parabolic; the parameter stays symbolic throughout, which lets one
-straightening pass serve every specialization.
+parabolic; the parameter stays symbolic throughout, which lets one action
+table serve every specialization.
 
-Straightening moves an algebra element right through the monomial factor by
-factor:  X y m v = y (X m v) + [X, y] m v,  with the character applied when
-the element reaches the highest weight vector and multiplication when the
-element lies in the opposite nilradical.  Intermediate results are memoized
-per (basis label, monomial).
+The eps1-coordinate of a root grades so(7) as  g_-1 + g_0 + g_1  (checked
+from the bracket table when the module is built: the y's span g_-1 and every
+bracket lands in the sum of the grades).  Moving an element X of grade g
+right through y^m and writing  d_i(y^m) = m_i y^(m - e_i)  gives
+
+    g = -1:  X y^m v = (X y^m) v,  a product in the commutative y's,
+    g =  0:  X y^m v = chi(X) y^m + sum_i d_i(y^m) [X, y_i],
+    g = +1:  X y^m v = sum_i chi([X, y_i]) d_i(y^m)
+                       + 1/2 sum_{i,j} d_i d_j(y^m) [[X, y_i], y_j],
+
+where the brackets, of grade -1, act by multiplication.  ``chi(X)``,
+``[X, y_i]`` and ``[[X, y_i], y_j]`` are tabulated once per basis label, so
+memory does not grow with the degree.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .liealg import Element, Label, StructureTable, WeightVec, eps_weight
 from .linsolve import kernel_basis
 from .polynomials import Monomial, NVARS, format_terms, parse_terms, term_sort_key
-from .scalars import LAMBDA, LambdaPoly
+from .scalars import LAMBDA, ONE, LambdaPoly
 
 # coordinate order of the opposite nilradical (labels of y1..y5)
 COORD_LABELS: Tuple[int, ...] = (-1, -8, -6, -9, -4)
@@ -140,47 +148,96 @@ class VermaModule:
         self.so7 = so7
         self.coord_index: Dict[int, int] = {l: i for i, l in enumerate(COORD_LABELS)}
         self.nilradical_neg = set(COORD_LABELS)
-        self._memo: Dict[Tuple[Label, Monomial], VermaVector] = {}
+        grade = _first_root_grading(so7)
         self._char: Dict[Label, LambdaPoly] = {}
         for l in so7.labels:
             if isinstance(l, str):
                 self._char[l] = LAMBDA * so7.matrices[l][0][0]
             elif l not in self.nilradical_neg:
                 self._char[l] = LambdaPoly()
+        # one action table per basis label
+        self._memo: Dict[Label, Tuple[int, object, object]] = {
+            l: self._action_table(l, grade[l]) for l in so7.labels
+        }
+
+    def _y_coords(self, x: Element) -> Tuple[Tuple[int, Fraction], ...]:
+        """A grade -1 element as (coordinate position, coefficient) pairs."""
+        return tuple((self.coord_index[l], c) for l, c in x.items() if c)
+
+    def _chi(self, x: Element) -> LambdaPoly:
+        """The inducing character on a parabolic element."""
+        out = LambdaPoly()
+        for l, c in x.items():
+            out = out + self._char[l] * c
+        return out
+
+    def _action_table(self, label: Label, g: int) -> Tuple[int, object, object]:
+        """One label's action table: (grade, character part, bracket part).
+
+        Grade -1 needs none (the action multiplies); grade 0 keeps chi(X)
+        and [X, y_i] by i; grade +1 keeps chi([X, y_i]) by i and
+        [[X, y_i], y_j] by i and j.  Brackets are kept as ``_y_coords`` pairs.
+        """
+        if g == -1:
+            return g, None, None
+        x = {label: Fraction(1)}
+        ys = [{l: Fraction(1)} for l in COORD_LABELS]
+        first = [self.so7.bracket(x, y) for y in ys]            # [X, y_i]
+        if g == 0:
+            return g, self._chi(x), tuple(self._y_coords(b) for b in first)
+        second = tuple(
+            tuple(self._y_coords(self.so7.bracket(b, y)) for y in ys)   # [[X, y_i], y_j]
+            for b in first
+        )
+        return g, tuple(self._chi(b) for b in first), second
 
     # -- the action -------------------------------------------------------
 
+    def _act_into(self, out: Dict[Monomial, LambdaPoly], label: Label, m: Monomial,
+                  coeff: LambdaPoly) -> None:
+        """Add  coeff * X y^m v  to ``out``, X the basis element ``label``."""
+        g, chi, brackets = self._memo[label]
+        if g == -1:
+            _add_term(out, _shifted(m, self.coord_index[label], 1), coeff)
+        elif g == 0:
+            # chi(X) y^m + sum_i d_i(y^m) [X, y_i]
+            if chi:
+                _add_term(out, m, coeff * chi)
+            for i, mi in enumerate(m):
+                if mi:
+                    base = _shifted(m, i, -1)
+                    for j, c in brackets[i]:
+                        _add_term(out, _shifted(base, j, 1), coeff * (mi * c))
+        else:
+            # sum_i chi([X, y_i]) d_i(y^m) + 1/2 sum_{i,j} d_i d_j(y^m) [[X, y_i], y_j]
+            for i, mi in enumerate(m):
+                if not mi:
+                    continue
+                mi_m = _shifted(m, i, -1)
+                if chi[i]:
+                    _add_term(out, mi_m, coeff * (chi[i] * mi))
+                for j, mj in enumerate(mi_m):
+                    if mj:
+                        base = _shifted(mi_m, j, -1)
+                        for k, c in brackets[i][j]:
+                            _add_term(out, _shifted(base, k, 1),
+                                      coeff * (_HALF * mi * mj * c))
+
     def act_basis(self, label: Label, m: Monomial) -> VermaVector:
         """Action of a basis element on a single ordered monomial."""
-        key = (label, m)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if label in self.nilradical_neg:
-            out = VermaVector.monomial(m).shift(self.coord_index[label])
-        else:
-            k = next((i for i, e in enumerate(m) if e > 0), None)
-            if k is None:
-                out = VermaVector({(0,) * NVARS: self._char[label]})
-            else:
-                rest = list(m)
-                rest[k] -= 1
-                rest_m = tuple(rest)
-                out = self.act_basis(label, rest_m).shift(k)
-                for l2, c2 in self.so7.brackets.get((label, COORD_LABELS[k]), {}).items():
-                    out = out + self.act_basis(l2, rest_m).scale(c2)
-        self._memo[key] = out
-        return out
+        out: Dict[Monomial, LambdaPoly] = {}
+        self._act_into(out, label, m, ONE)
+        return VermaVector(out)
 
     def act(self, x: Element, v: VermaVector) -> VermaVector:
         """Exact module action of a so(7) element."""
-        out = VermaVector.zero()
+        out: Dict[Monomial, LambdaPoly] = {}
         for l, c in x.items():
             if c == 0:
                 continue
             for m, coeff in v.terms.items():
-                out = out + self.act_basis(l, m).scale(coeff * c)
-        return out
+                self._act_into(out, l, m, coeff * c)
+        return VermaVector(out)
 
     # -- weights -----------------------------------------------------------
 
@@ -231,9 +288,11 @@ class VermaModule:
 
         The degree space splits by Cartan weight; each block is solved
         separately and the kernels are concatenated, which keeps the
-        elimination small.  The straightening is symbolic in the parameter
-        and shared across calls; only the final matrices specialize.
+        elimination small.  The action is symbolic in the parameter; only
+        the final matrices specialize.
         """
+        if degree < 0:
+            raise ValueError("degree must be non-negative")
         monos = self.monomials_of_degree(degree)
         blocks: Dict[Tuple[int, int], List[Monomial]] = {}
         for m in monos:
@@ -246,10 +305,11 @@ class VermaModule:
             rows: Dict[Tuple[int, Monomial], List[Fraction]] = {}
             for col, m in enumerate(block):
                 for ai, ann in enumerate(annihilators):
-                    image = VermaVector.zero()
+                    image: Dict[Monomial, LambdaPoly] = {}
                     for l, c in ann.items():
-                        image = image + self.act_basis(l, m).scale(c)
-                    for tm, coeff in image.terms.items():
+                        if c:
+                            self._act_into(image, l, m, LambdaPoly.const(c))
+                    for tm, coeff in image.items():
                         val = coeff(lam0)
                         if val == 0:
                             continue
@@ -272,3 +332,35 @@ class VermaModule:
                     )
                 )
         return vectors
+
+
+_HALF = Fraction(1, 2)
+
+
+def _first_root_grading(so7: StructureTable) -> Dict[Label, int]:
+    """Grade of each basis label: the eps1-coordinate of its root, 0 on the Cartan.
+
+    Checks from the bracket table that the grading is |1| with the
+    y-coordinates as its grade -1 part, which is what the closed-form action
+    needs: the opposite nilradical is then commutative and each so(7)
+    element acts by a differential operator of order at most 2.
+    """
+    grade = {l: so7.roots[l].coords[0] if l in so7.roots else Fraction(0) for l in so7.labels}
+    if not set(grade.values()) <= {-1, 0, 1}:
+        raise ValueError("the first-root grading of so(7) is not a |1|-grading")
+    if {l for l, g in grade.items() if g == -1} != set(COORD_LABELS):
+        raise ValueError("the grade -1 part is not spanned by the y-coordinates")
+    for (a, b), val in so7.brackets.items():
+        for l, c in val.items():
+            if c and grade[l] != grade[a] + grade[b]:
+                raise ValueError(f"bracket [{a}, {b}] leaves grade {grade[a] + grade[b]}")
+    return {l: int(g) for l, g in grade.items()}
+
+
+def _shifted(m: Monomial, i: int, step: int) -> Monomial:
+    return m[:i] + (m[i] + step,) + m[i + 1:]
+
+
+def _add_term(out: Dict[Monomial, LambdaPoly], m: Monomial, c: LambdaPoly) -> None:
+    prev = out.get(m)
+    out[m] = c if prev is None else prev + c

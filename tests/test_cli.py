@@ -199,6 +199,13 @@ def test_oracle_empty_is_exit_one(capsys):
     assert "kernel dimension 0" in out
 
 
+def test_oracle_negative_degree_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--degree", "-1", "--lambda=1/2"])
+    assert str(exc.value) == "degree must be non-negative"
+    assert capsys.readouterr().out == ""
+
+
 def test_oracle_json(capsys):
     code, out = run(capsys, ["oracle", "--degree", "2", "--lambda=-3/2", "--format", "json"])
     payload = json.loads(out)

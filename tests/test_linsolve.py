@@ -2,9 +2,7 @@ from fractions import Fraction
 
 from g2fmethod.linsolve import (
     evaluate_matrix,
-    in_row_span,
     kernel_basis,
-    param_root_scan,
     param_solve,
     rank,
     rref,
@@ -29,12 +27,6 @@ def test_kernel_of_rank_deficient():
         assert all(
             sum(a * b for a, b in zip(row, v)) == 0 for row in m
         )
-
-
-def test_row_span_membership():
-    m = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    assert in_row_span(m, [F(2), F(3), F(5)])
-    assert not in_row_span(m, [F(0), F(0), F(1)])
 
 
 def test_param_solve_one_by_one():
@@ -113,7 +105,3 @@ def test_param_solve_irrational_roots_certified():
     assert res.solutions == []
     assert not res.unresolved_factors
 
-
-def test_param_root_scan():
-    assert param_root_scan(2 * LAMBDA + 5) == [F(-5, 2)]
-    assert param_root_scan(LAMBDA ** 2 - F(1, 4)) == [F(-1, 2), F(1, 2)]

@@ -107,6 +107,20 @@ def test_solve_even_first_three(ctx):
         assert cert.checks["so7_singular"] is True
 
 
+def test_solve_even_homogeneity_32_closed_forms(ctx):
+    cert = solve_even(ctx, 16, verify=True)
+    assert cert is not None
+    assert cert.lam == F(27, 2)
+    assert cert.coefficients == [F(4 ** s * math.comb(16, s)) for s in range(17)]
+    assert cert.xi_polynomial == LAPLACE_DUAL ** 16
+    bools = {k: v for k, v in cert.checks.items() if isinstance(v, bool)}
+    assert set(bools) >= {"p_prime_singular", "so7_singular", "weight_matches_reflection_law",
+                          "nonstandard_so7", "nonstandard_g2"}
+    assert all(bools.values()), bools
+    # the module keeps one action table per so(7) basis label, whatever N reached
+    assert len(ctx.module._memo) <= 21
+
+
 def test_solve_even_certificate_json(ctx):
     cert = solve_even(ctx, 2)
     doc = cert.to_json()

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import dataclasses
+
 import pytest
 
+from g2fmethod.polynomials import NVARS
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 from g2fmethod.solver import pprime_annihilators
 from g2fmethod.verma import COORD_LABELS, VermaModule, VermaVector, parse_verma
@@ -71,6 +74,67 @@ def test_nine_term_monomial_action(module, emb):
         assert module.act(X, VermaVector.monomial(n)) == closed_form(n), n
 
 
+def textbook_action(module, so7):
+    """PBW straightening by recursion on the monomial, memoized per
+    (basis label, monomial):  X y m v = y (X m v) + [X, y] m v,  with the
+    character on the highest weight vector and multiplication by the
+    opposite nilradical."""
+    memo = {}
+
+    def act(label, m):
+        key = (label, m)
+        if key in memo:
+            return memo[key]
+        if label in COORD_LABELS:
+            out = VermaVector.monomial(m).shift(COORD_LABELS.index(label))
+        else:
+            k = next((i for i, e in enumerate(m) if e > 0), None)
+            if k is None:
+                out = VermaVector({(0,) * NVARS: module._char[label]})
+            else:
+                rest = list(m)
+                rest[k] -= 1
+                rest_m = tuple(rest)
+                out = act(label, rest_m).shift(k)
+                for l2, c2 in so7.brackets.get((label, COORD_LABELS[k]), {}).items():
+                    out = out + act(l2, rest_m).scale(c2)
+        memo[key] = out
+        return out
+
+    return act
+
+
+def test_closed_form_matches_textbook_straightening(module, so7):
+    reference = textbook_action(module, so7)
+    monomials = [m for d in range(7) for m in module.monomials_of_degree(d)]
+    pairs = 0
+    for label in so7.labels:
+        for m in monomials:
+            assert module.act_basis(label, m) == reference(label, m), (label, m)
+            pairs += 1
+    assert pairs == 9702
+    assert len(module._memo) == len(so7.labels)
+
+
+def test_act_keeps_the_parameter_symbolic(module):
+    out = module.act_basis(1, (2, 0, 1, 0, 0))
+    assert all(isinstance(c, LambdaPoly) for c in out.terms.values())
+    assert any(c.degree == 1 for c in out.terms.values())
+
+
+def test_grading_check_rejects_a_table_that_is_not_one_graded(so7):
+    # [g_1, g_-1] moved off the Cartan (grade 0) into a grade -1 label
+    brackets = dict(so7.brackets)
+    brackets[(1, -1)] = {-8: F(1)}
+    with pytest.raises(ValueError):
+        VermaModule(dataclasses.replace(so7, brackets=brackets))
+    # a grade -1 label outside the y-coordinates
+    roots = dict(so7.roots)
+    roots[-2] = roots[-1]
+    with pytest.raises(ValueError):
+        VermaModule(dataclasses.replace(so7, roots=roots))
+
+
 def test_representation_property_random(module, so7):
     rng = random.Random(2024)
     labels = so7.labels
@@ -132,6 +196,8 @@ def test_singular_search_examples(module, emb):
     borel = [{1: F(1)}, {2: F(1)}, {3: F(1)}]
     assert module.singular_search(1, F(-3, 2), borel) == []
     assert module.singular_search(1, F(7, 3), borel) == []
+    with pytest.raises(ValueError):
+        module.singular_search(-1, F(1, 2), anns)
 
 
 def test_verma_grammar_roundtrip(module):
