@@ -98,10 +98,17 @@ _WEIGHT_NAMES: Dict[str, Tuple[str, Tuple[Fraction, ...]]] = {
 
 
 def parse_weight(s: str) -> WeightVec:
-    """Parse linear combinations like '2*alpha1 + alpha2' or '1/2*eps1 - eps3'."""
+    """Parse linear combinations like '2*alpha1 + alpha2' or '1/2*eps1 - eps3'.
+
+    Raises ``ValueError`` on any character outside the grammar.
+    """
     import re
 
-    tokens = re.findall(r"[+-]|[0-9]+(?:/[0-9]+)?|\*|[a-z]+[0-9]", s.replace(" ", ""))
+    token = r"[+-]|[0-9]+(?:/[0-9]+)?|\*|[a-z]+[0-9]"
+    text = s.replace(" ", "")
+    if not re.fullmatch(f"(?:{token})*", text):
+        raise ValueError(f"cannot parse weight {s!r}")
+    tokens = re.findall(token, text)
     basis = None
     coords: Optional[List[Fraction]] = None
     sign = Fraction(1)
@@ -182,15 +189,18 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_embedding(args) -> int:
+    if args.action in ("project", "inject"):
+        try:
+            w = parse_weight(args.weight)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
     if args.action == "project":
-        w = parse_weight(args.weight)
         from .embedding import project_weight
 
         out = project_weight(w)
         _emit(args, format_psi(out), payload={"weight": str(out), "psi": format_psi(out)})
         return EXIT_OK
     if args.action == "inject":
-        w = parse_weight(args.weight)
         from .embedding import inject_weight
 
         out = inject_weight(w)

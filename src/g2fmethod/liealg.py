@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -653,6 +654,12 @@ def positive_combination(
     None when no combination exists.  ``w`` must be given in the matching
     simple basis ('alpha' weights are already simple coordinates; orthonormal
     weights are converted by the caller).
+
+    The search runs depth-first in label order.  A branch whose remainder
+    lies outside the real cone of the roots still to be used (some
+    functional of ``_cone_functionals`` is negative on it) has no
+    combination and is cut; the test is only a necessary condition, so the
+    witness found is the same.
     """
     target = []
     for c in w.coords:
@@ -662,11 +669,15 @@ def positive_combination(
             return None
         target.append(int(c))
     items = sorted(roots, key=lambda t: t[0])
+    cones = [_cone_functionals([coords for _, coords in items[pos:]], len(target))
+             for pos in range(len(items))]
 
     def dfs(pos: int, remaining: Tuple[int, ...]) -> Optional[Dict[int, int]]:
         if all(x == 0 for x in remaining):
             return {}
         if pos == len(items):
+            return None
+        if any(_dot(f, remaining) < 0 for f in cones[pos]):
             return None
         label, coords = items[pos]
         bound = min(
@@ -689,3 +700,37 @@ def positive_combination(
         # a negative coordinate in the simple basis rules out a combination
         return None
     return dfs(0, tuple(target))
+
+
+def _cone_functionals(gens: Sequence[Tuple[int, ...]], n: int) -> List[Tuple[int, ...]]:
+    """Integer functionals f with f(g) >= 0 for every g in ``gens``.
+
+    Candidates are the unit vectors, the generators themselves and, in
+    dimension 2, the normal of each generator and unit vector, in dimension
+    3 the cross product of each pair of them, all with both signs.  For
+    n <= 3 the ones kept cut out the real cone of ``gens`` exactly: they hold
+    its facet normals, both signs of every equation of its span, and the
+    direction of a cone on one ray.  Above dimension 3 the test is weaker
+    but still valid.
+    """
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    vecs = list(gens) + units
+    if n == 2:
+        normals = [(-a[1], a[0]) for a in vecs]
+    elif n == 3:
+        normals = [_cross(a, b) for a, b in itertools.combinations(vecs, 2)]
+    else:
+        normals = []
+    candidates = {tuple(g) for g in gens}
+    for f in normals + units:
+        candidates.add(tuple(f))
+        candidates.add(tuple(-x for x in f))
+    return sorted(f for f in candidates if any(f) and all(_dot(f, g) >= 0 for g in gens))
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _cross(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int, int]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])

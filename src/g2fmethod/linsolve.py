@@ -5,14 +5,15 @@ Two layers:
 * sparse Gauss-Jordan elimination over ``Fraction`` (rref, rank, kernel
   bases) used everywhere a subspace question comes up;
 * fraction-free (Bareiss) elimination over the polynomial ring in the formal
-  parameter, used to locate every rational parameter value at which a matrix
-  drops rank.  Candidates come from the rational roots of the pivot
-  determinant; each candidate is then confirmed with an exact kernel
-  computation at that value.
+  parameter, on sparse rows scaled lazily, used to locate every rational
+  parameter value at which a matrix drops rank.  Candidates come from the
+  rational roots of the pivot determinant; each candidate is then confirmed
+  with an exact kernel computation at that value.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -182,8 +183,12 @@ class ParamSolveResult:
         return [lam for lam, _ in self.solutions]
 
 
+_QZERO = Fraction(0)
+
+
 def evaluate_matrix(M: PMatrix, x: Fraction) -> Matrix:
-    return [[entry(x) for entry in row] for row in M]
+    """Entries at a rational parameter value; every zero is one shared object."""
+    return [[entry(x) if entry else _QZERO for entry in row] for row in M]
 
 
 def _bareiss_rank(M: PMatrix) -> Tuple[int, LambdaPoly, List[int]]:
@@ -192,12 +197,23 @@ def _bareiss_rank(M: PMatrix) -> Tuple[int, LambdaPoly, List[int]]:
     Returns (rank, pivot determinant, pivot row indices).  The determinant is
     that of the square submatrix on the pivot rows/columns; the rank can drop
     at a parameter value only where this polynomial vanishes.
+
+    Rows are dicts of their nonzero entries, and a row is updated only when
+    its pivot-column entry is nonzero.  Bareiss would multiply any other row
+    by p_k / p_(k-1) at step k; those factors telescope, so the row instead
+    keeps the pivot value ``stamp`` of its last update, and its true entries
+    are  stored * prev / stamp  (an exact division, done when the row is next
+    touched).  Degrees need no division,  deg(e) + deg(prev) - deg(stamp),
+    so the pivot choice (least degree, first row on a tie) and with it the
+    rank, the determinant and the pivot rows are those of the dense
+    elimination, value for value.
     """
-    A = [list(row) for row in M]
-    if not A:
+    if not M:
         return 0, LambdaPoly.const(1), []
-    rows, cols = len(A), len(A[0])
+    cols = len(M[0])
     prev = LambdaPoly.const(1)
+    A = [({j: e for j, e in enumerate(row) if e}, prev) for row in M]   # (entries, stamp)
+    rows = len(A)
     pivot_rows: List[int] = []
     r = 0
     for c in range(cols):
@@ -205,23 +221,48 @@ def _bareiss_rank(M: PMatrix) -> Tuple[int, LambdaPoly, List[int]]:
             break
         pivot = None
         best = None
+        shift = prev.degree
         for i in range(r, rows):
-            e = A[i][c]
-            if not e.is_zero():
-                if best is None or e.degree < best:
-                    pivot, best = i, e.degree
+            entries, stamp = A[i]
+            e = entries.get(c)
+            if e is not None:
+                d = e.degree + shift - stamp.degree
+                if best is None or d < best:
+                    pivot, best = i, d
         if pivot is None:
             continue
         A[r], A[pivot] = A[pivot], A[r]
+        top = _true_entries(A[r], prev)
+        p = top.pop(c)
         for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = A[r][c] * A[i][j] - A[i][c] * A[r][j]
-                A[i][j] = num.exact_div(prev)
-            A[i][c] = LambdaPoly()
-        prev = A[r][c]
+            if c not in A[i][0]:
+                continue
+            row = _true_entries(A[i], prev)
+            f = row.pop(c)
+            new: Dict[int, LambdaPoly] = {}
+            for j in row.keys() | top.keys():
+                e, t = row.get(j), top.get(j)
+                if t is None:
+                    num = p * e
+                elif e is None:
+                    num = -(f * t)
+                else:
+                    num = p * e - f * t
+                if num:
+                    new[j] = num.exact_div(prev)
+            A[i] = (new, p)
+        prev = p
         pivot_rows.append(r)
         r += 1
     return r, prev, pivot_rows
+
+
+def _true_entries(row: Tuple[Dict[int, LambdaPoly], LambdaPoly], prev: LambdaPoly) -> Dict[int, LambdaPoly]:
+    """A lazily scaled row's entries at the current step, as a fresh dict."""
+    entries, stamp = row
+    if stamp == prev:
+        return dict(entries)
+    return {j: (e * prev).exact_div(stamp) for j, e in entries.items()}
 
 
 def param_solve(M: PMatrix, extra_minor_budget: int = 64) -> ParamSolveResult:
@@ -262,23 +303,18 @@ def _certify_minors(M: PMatrix, residual: LambdaPoly, budget: int) -> LambdaPoly
 
     The kernel is nontrivial at a parameter value only if every maximal
     minor vanishes there, so a gcd reaching a constant certifies that the
-    residual factor contributes no solutions.
+    residual factor contributes no solutions.  At most ``budget`` minors are
+    tried, singular ones included, so the work stays bounded however few of
+    the row subsets are nonsingular.
     """
-    import itertools
-
-    nrows = len(M)
     ncols = len(M[0])
-    count = 0
-    for combo in itertools.combinations(range(nrows), ncols):
-        sub = [M[i] for i in combo]
-        r, det, _ = _bareiss_rank(sub)
+    combos = itertools.combinations(range(len(M)), ncols)
+    for combo in itertools.islice(combos, budget):
+        r, det, _ = _bareiss_rank([M[i] for i in combo])
         if r < ncols:
             continue
         residual = poly_gcd(residual, det)
         if residual.degree <= 0:
             return LambdaPoly.const(1)
-        count += 1
-        if count >= budget:
-            break
     return residual
 

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from .scalars import LambdaPoly, Scalar
+from .scalars import ZERO, LambdaPoly, Scalar
 
 NVARS = 5
 
@@ -98,7 +98,7 @@ class XiPolynomial:
         return len(self.terms)
 
     def coefficient(self, m: Monomial) -> LambdaPoly:
-        return self.terms.get(tuple(m), LambdaPoly())
+        return self.terms.get(tuple(m), ZERO)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
@@ -304,29 +304,21 @@ def parse_terms(s: str, names: Tuple[str, ...]):
                     elif toks[j][0] == "rparen":
                         depth -= 1
                     j += 1
+                if depth:
+                    raise ValueError("unbalanced parenthesis in polynomial text")
                 inner = " ".join(t[1] for t in toks[i + 1 : j - 1])
                 coeff = coeff * parse_lambda_poly(inner)
                 saw_factor = True
                 expect_factor = False
                 i = j
             elif kind == "name":
+                p, i = _exponent(toks, i)
                 if val == "L":
-                    p = 1
-                    if i + 1 < n and toks[i + 1][0] == "pow":
-                        p = int(toks[i + 2][1])
-                        i += 2
                     coeff = coeff * (LambdaPoly.gen() ** p)
-                    saw_factor = True
-                    expect_factor = False
-                    i += 1
-                    continue
-                if val not in index:
+                elif val in index:
+                    expo[index[val]] += p
+                else:
                     raise ValueError(f"unknown symbol {val!r}")
-                p = 1
-                if i + 1 < n and toks[i + 1][0] == "pow":
-                    p = int(toks[i + 2][1])
-                    i += 2
-                expo[index[val]] += p
                 saw_factor = True
                 expect_factor = False
                 i += 1
@@ -335,6 +327,16 @@ def parse_terms(s: str, names: Tuple[str, ...]):
         if not saw_factor:
             raise ValueError("dangling sign in polynomial text")
         yield tuple(expo), coeff * sign
+
+
+def _exponent(toks, i: int) -> Tuple[int, int]:
+    """The power after the name at ``toks[i]`` (1 when none) and the index
+    of the name's last token."""
+    if i + 1 < len(toks) and toks[i + 1][0] == "pow":
+        if i + 2 >= len(toks) or toks[i + 2][0] != "num":
+            raise ValueError("'^' must be followed by a non-negative integer")
+        return int(toks[i + 2][1]), i + 2
+    return 1, i
 
 
 def parse_xi_polynomial(s: str) -> XiPolynomial:

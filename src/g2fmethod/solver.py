@@ -316,8 +316,8 @@ def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[Sing
         return None
     coefficients = [c / a0 for c in vec]
     poly = XiPolynomial.zero()
-    for s, a in enumerate(coefficients):
-        poly = poly + (I1 ** s) * (X3 ** (2 * (N - s))) * LambdaPoly.const(a)
+    for p, a in zip(basis, coefficients):
+        poly = poly + p * LambdaPoly.const(a)
     cert = SingularCertificate(
         homogeneity_half=N,
         lam=lam,
@@ -396,8 +396,7 @@ def verify_so7_singular(ctx: SolverContext, cert: SingularCertificate) -> bool:
     certificate's parameter value (the strongest singularity form)."""
     v = cert.verma_vector
     for ann in borel_annihilators(ctx.emb):
-        image = ctx.module.act(ann, v).evaluate_lambda(cert.lam)
-        if not image.is_zero():
+        if not ctx.module.act(ann, v, lam=cert.lam).is_zero():
             return False
     return True
 
@@ -408,12 +407,10 @@ def run_certificate_checks(ctx: SolverContext, cert: SingularCertificate) -> Non
     module = ctx.module
     v = cert.verma_vector
     pprime = all(
-        module.act(a, v).evaluate_lambda(cert.lam).is_zero()
-        for a in pprime_annihilators(emb)
+        module.act(a, v, lam=cert.lam).is_zero() for a in pprime_annihilators(emb)
     )
     pprime_full = all(
-        module.act(a, v).evaluate_lambda(cert.lam).is_zero()
-        for a in pprime_full_annihilators(emb)
+        module.act(a, v, lam=cert.lam).is_zero() for a in pprime_full_annihilators(emb)
     )
     so7_sing = verify_so7_singular(ctx, cert)
     weight = module.weight_of(v)

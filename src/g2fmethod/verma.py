@@ -8,8 +8,10 @@ opposite nilradical is commutative with ordered basis
 so module vectors are polynomials in the y's applied to the highest weight
 vector.  The inducing character takes the value  lam * (diagonal at the
 first plus vector)  on Cartan elements and zero on the rest of the
-parabolic; the parameter stays symbolic throughout, which lets one action
-table serve every specialization.
+parabolic.  The action tables keep the parameter symbolic, so one table
+serves every specialization; an action at a given rational value (the
+certificate checks, the kernel search) evaluates the character entries it
+meets there and runs over ``Fraction`` coefficients, with no table per value.
 
 The eps1-coordinate of a root grades so(7) as  g_-1 + g_0 + g_1  (checked
 from the bracket table when the module is built: the y's span g_-1 and every
@@ -34,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .liealg import Element, Label, StructureTable, WeightVec, eps_weight
 from .linsolve import kernel_basis
 from .polynomials import Monomial, NVARS, format_terms, parse_terms, term_sort_key
-from .scalars import LAMBDA, ONE, LambdaPoly
+from .scalars import LAMBDA, ONE, LambdaPoly, Scalar
 
 # coordinate order of the opposite nilradical (labels of y1..y5)
 COORD_LABELS: Tuple[int, ...] = (-1, -8, -6, -9, -4)
@@ -193,16 +195,20 @@ class VermaModule:
 
     # -- the action -------------------------------------------------------
 
-    def _act_into(self, out: Dict[Monomial, LambdaPoly], label: Label, m: Monomial,
-                  coeff: LambdaPoly) -> None:
-        """Add  coeff * X y^m v  to ``out``, X the basis element ``label``."""
+    def _act_into(self, out: Dict[Monomial, Scalar], label: Label, m: Monomial,
+                  coeff: Scalar, lam: Optional[Fraction] = None) -> None:
+        """Add  coeff * X y^m v  to ``out``, X the basis element ``label``.
+
+        With ``lam`` the character is evaluated there, so ``coeff`` and the
+        values added are ``Fraction``s; without it they are ``LambdaPoly``s.
+        """
         g, chi, brackets = self._memo[label]
         if g == -1:
             _add_term(out, _shifted(m, self.coord_index[label], 1), coeff)
         elif g == 0:
             # chi(X) y^m + sum_i d_i(y^m) [X, y_i]
             if chi:
-                _add_term(out, m, coeff * chi)
+                _add_term(out, m, coeff * (chi if lam is None else chi(lam)))
             for i, mi in enumerate(m):
                 if mi:
                     base = _shifted(m, i, -1)
@@ -215,7 +221,7 @@ class VermaModule:
                     continue
                 mi_m = _shifted(m, i, -1)
                 if chi[i]:
-                    _add_term(out, mi_m, coeff * (chi[i] * mi))
+                    _add_term(out, mi_m, coeff * ((chi[i] if lam is None else chi[i](lam)) * mi))
                 for j, mj in enumerate(mi_m):
                     if mj:
                         base = _shifted(mi_m, j, -1)
@@ -229,14 +235,19 @@ class VermaModule:
         self._act_into(out, label, m, ONE)
         return VermaVector(out)
 
-    def act(self, x: Element, v: VermaVector) -> VermaVector:
-        """Exact module action of a so(7) element."""
-        out: Dict[Monomial, LambdaPoly] = {}
+    def act(self, x: Element, v: VermaVector, lam: Optional[Fraction] = None) -> VermaVector:
+        """Exact module action of a so(7) element.
+
+        With ``lam`` the result is the action at that parameter value, equal to
+        ``act(x, v).evaluate_lambda(lam)`` but computed over rationals.
+        """
+        out: Dict[Monomial, Scalar] = {}
+        terms = v.terms.items() if lam is None else [(m, c(lam)) for m, c in v.terms.items()]
         for l, c in x.items():
             if c == 0:
                 continue
-            for m, coeff in v.terms.items():
-                self._act_into(out, l, m, coeff * c)
+            for m, coeff in terms:
+                self._act_into(out, l, m, coeff * c, lam)
         return VermaVector(out)
 
     # -- weights -----------------------------------------------------------
@@ -288,8 +299,7 @@ class VermaModule:
 
         The degree space splits by Cartan weight; each block is solved
         separately and the kernels are concatenated, which keeps the
-        elimination small.  The action is symbolic in the parameter; only
-        the final matrices specialize.
+        elimination small.  The action runs at ``lam0``, over rationals.
         """
         if degree < 0:
             raise ValueError("degree must be non-negative")
@@ -305,12 +315,11 @@ class VermaModule:
             rows: Dict[Tuple[int, Monomial], List[Fraction]] = {}
             for col, m in enumerate(block):
                 for ai, ann in enumerate(annihilators):
-                    image: Dict[Monomial, LambdaPoly] = {}
+                    image: Dict[Monomial, Fraction] = {}
                     for l, c in ann.items():
                         if c:
-                            self._act_into(image, l, m, LambdaPoly.const(c))
-                    for tm, coeff in image.items():
-                        val = coeff(lam0)
+                            self._act_into(image, l, m, c, lam0)
+                    for tm, val in image.items():
                         if val == 0:
                             continue
                         row = rows.setdefault(
@@ -361,6 +370,6 @@ def _shifted(m: Monomial, i: int, step: int) -> Monomial:
     return m[:i] + (m[i] + step,) + m[i + 1:]
 
 
-def _add_term(out: Dict[Monomial, LambdaPoly], m: Monomial, c: LambdaPoly) -> None:
+def _add_term(out: Dict[Monomial, Scalar], m: Monomial, c: Scalar) -> None:
     prev = out.get(m)
     out[m] = c if prev is None else prev + c

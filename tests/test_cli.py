@@ -235,3 +235,14 @@ def test_weight_parse_errors(capsys):
         cli.parse_weight("eps1 + alpha1")
     with pytest.raises(ValueError):
         cli.parse_weight("zeta1")
+    for text in ("eps1?eps2", "eps1 + eps2;", "2.5*eps1"):
+        with pytest.raises(ValueError):
+            cli.parse_weight(text)
+
+
+@pytest.mark.parametrize("action", ["project", "inject"])
+def test_embedding_rejects_unparsed_weight(capsys, action):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["embedding", action, "--weight", "eps1?eps2"])
+    assert str(exc.value) == "cannot parse weight 'eps1?eps2'"
+    assert capsys.readouterr().out == ""

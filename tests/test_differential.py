@@ -2,7 +2,9 @@
 
 Rational-root extraction and deflation are compared with sympy's roots over
 the rationals and its polynomial division; ``rref`` and ``kernel_basis``
-with ``sympy.Matrix.rref`` on random sparse rational matrices.
+with ``sympy.Matrix.rref`` on random sparse rational matrices; the Bareiss
+pivot determinant with ``Matrix.det`` and each ``param_solve`` solution with
+``Matrix.nullspace`` on random parametric matrices.
 """
 
 import math
@@ -12,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2fmethod.linsolve import kernel_basis, rank, rref
+from g2fmethod.linsolve import _bareiss_rank, evaluate_matrix, kernel_basis, param_solve, rank, rref
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 
 sympy = pytest.importorskip("sympy")
@@ -104,3 +106,61 @@ def test_rref_and_kernel_match_sympy(seed):
     assert rank(m) == ref.rank()
     kernel = kernel_basis(m)
     assert kernel == [[Fraction(int(x.p), int(x.q)) for x in v] for v in ref.nullspace()]
+
+
+def random_parametric(rng: random.Random, rows: int, cols: int, density: float):
+    def entry():
+        if rng.random() >= density:
+            return LambdaPoly()
+        return LambdaPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))])
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def sympy_matrix(m):
+    return sympy.Matrix([[to_sympy(e).as_expr() if e else 0 for e in row] for row in m])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pivot_determinant_matches_sympy_det(seed):
+    rng = random.Random(1000 + seed)
+    n = rng.randint(1, 6)
+    m = random_parametric(rng, n, n, rng.choice((0.3, 0.6, 0.9)))
+    det = sympy.Poly(sympy_matrix(m).det(method="berkowitz"), X, domain="QQ")
+    r, pivot_det, _ = _bareiss_rank(m)
+    if det.is_zero:
+        assert r < n
+        return
+    assert r == n
+    assert to_sympy(pivot_det) in (det, -det)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_param_solve_solutions_have_sympy_nullspace(seed):
+    rng = random.Random(2000 + seed)
+    n = rng.randint(1, 5)
+    rows = n + rng.randint(0, 2)
+    # M(L) = A + (L - r) B with A of rank < n, so L = r is a solution
+    r = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    left = sparse_matrix(rng, rows, n - 1, 0.7)
+    right = sparse_matrix(rng, n - 1, n, 0.7)
+    a = [[sum((x * right[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(n)] for row in left]
+    b = sparse_matrix(rng, rows, n, rng.choice((0.3, 0.7)))
+    m = [[LambdaPoly([x - r * y, y]) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    res = param_solve(m)
+    if res.identically_singular:
+        assert sympy_matrix(m).rank() < n
+        return
+    assert r in res.lambdas
+    for lam, basis in res.solutions:
+        at = evaluate_matrix(m, lam)
+        null = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in at]).nullspace()
+        assert null
+        assert len(null) == len(basis)
+        for v in basis:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in at)
+    if rows == n:
+        # every rational root of the determinant is a solution
+        det = sympy.Poly(sympy_matrix(m).det(method="berkowitz"), X, domain="QQ")
+        expected = sorted(Fraction(int(q.p), int(q.q)) for q in det.ground_roots())
+        assert res.lambdas == expected

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from g2fmethod.liealg import (
+    WeightVec,
     alpha_weight,
     build_g2_root_data,
     build_so_odd,
@@ -247,6 +248,48 @@ def test_positive_combination_g2():
     assert tuple(total) == (8, 3)
     # non-integral coordinates have none
     assert positive_combination(alpha_weight((F(1, 2), F(0))), roots) is None
+
+
+def reference_positive_combination(target, roots):
+    """The depth-first search without pruning: the lexicographically smallest
+    non-negative integer coefficient vector in label order, or None."""
+    items = sorted(roots, key=lambda t: t[0])
+
+    def dfs(pos, remaining):
+        if all(x == 0 for x in remaining):
+            return {}
+        if pos == len(items):
+            return None
+        label, coords = items[pos]
+        bound = min((rem // c for rem, c in zip(remaining, coords) if c > 0), default=0)
+        for k in range(bound + 1):
+            nxt = tuple(r - k * c for r, c in zip(remaining, coords))
+            if any(x < 0 for x in nxt):
+                break
+            sub = dfs(pos + 1, nxt)
+            if sub is not None:
+                return {label: k, **sub} if k else sub
+        return None
+
+    if any(x < 0 for x in target):
+        return None
+    return dfs(0, tuple(target))
+
+
+def test_positive_combination_matches_unpruned_search(so7):
+    rng = random.Random(7)
+    so7_roots = [(l, so7.simple_coords[l]) for l in so7.positive_root_labels]
+    g2_roots = [(i + 1, c) for i, c in enumerate(build_g2_root_data().positive)]
+    for roots, dim, top in ((so7_roots, 3, 8), (g2_roots, 2, 20)):
+        for _ in range(250):
+            target = tuple(rng.randint(-1, top) for _ in range(dim))
+            w = WeightVec(tuple(F(x) for x in target), "alpha")
+            assert positive_combination(w, roots) == reference_positive_combination(target, roots)
+    # a subset whose tails span a plane, then a line, then nothing
+    plane = [(1, (1, 0, 0)), (2, (0, 1, 0)), (3, (1, 1, 0))]
+    for target in ((2, 3, 0), (2, 3, 1), (0, 0, 0), (0, 4, 0), (0, -1, 0)):
+        w = WeightVec(tuple(F(x) for x in target), "alpha")
+        assert positive_combination(w, plane) == reference_positive_combination(target, plane)
 
 
 def test_fundamental_weight_tables():

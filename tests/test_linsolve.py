@@ -1,6 +1,11 @@
+import random
 from fractions import Fraction
 
+import pytest
+
+from g2fmethod import linsolve
 from g2fmethod.linsolve import (
+    _bareiss_rank,
     evaluate_matrix,
     kernel_basis,
     param_solve,
@@ -8,6 +13,7 @@ from g2fmethod.linsolve import (
     rref,
 )
 from g2fmethod.scalars import LAMBDA, LambdaPoly
+from g2fmethod.solver import I1, X3, _collect_system, invariant_monomial_basis, solve_even
 
 F = Fraction
 
@@ -105,3 +111,87 @@ def test_param_solve_irrational_roots_certified():
     assert res.solutions == []
     assert not res.unresolved_factors
 
+
+
+def dense_bareiss(M):
+    """Textbook fraction-free elimination updating every cell: the reference."""
+    A = [list(row) for row in M]
+    if not A:
+        return 0, LambdaPoly.const(1), []
+    rows, cols = len(A), len(A[0])
+    prev = LambdaPoly.const(1)
+    pivot_rows = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot = None
+        best = None
+        for i in range(r, rows):
+            e = A[i][c]
+            if not e.is_zero():
+                if best is None or e.degree < best:
+                    pivot, best = i, e.degree
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                num = A[r][c] * A[i][j] - A[i][c] * A[r][j]
+                A[i][j] = num.exact_div(prev)
+            A[i][c] = LambdaPoly()
+        prev = A[r][c]
+        pivot_rows.append(r)
+        r += 1
+    return r, prev, pivot_rows
+
+
+def random_parametric(rng: random.Random, rows: int, cols: int, density: float):
+    """Sparse matrix of parameter polynomials of degree <= 2, small rational coefficients."""
+    def entry():
+        if rng.random() >= density:
+            return LambdaPoly()
+        return LambdaPoly([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_bareiss_matches_dense_reference_on_random_matrices(seed):
+    rng = random.Random(seed)
+    m = random_parametric(rng, rng.randint(1, 9), rng.randint(1, 7), rng.choice((0.2, 0.4, 0.7)))
+    if seed % 4 == 0 and len(m) > 2:
+        # a dependent row: rank drops and later pivots meet lazily scaled rows
+        m[-1] = [a * (LAMBDA + 1) - b for a, b in zip(m[0], m[1])]
+    assert _bareiss_rank(m) == dense_bareiss(m)
+
+
+def odd_basis(N):
+    return [(I1 ** k) * (X3 ** (2 * (N - k) + 1)) for k in range(N + 1)]
+
+
+def test_bareiss_matches_dense_reference_on_solver_systems(ctx):
+    for N in range(0, 11):
+        bases = [odd_basis(N)] + ([invariant_monomial_basis(2 * N)] if N else [])
+        for basis in bases:
+            matrix, _ = _collect_system(ctx, basis)
+            assert _bareiss_rank(matrix) == dense_bareiss(matrix)
+
+
+def test_certify_minors_counts_every_minor_tried(ctx, monkeypatch):
+    # with no roots found, the whole pivot determinant is a residual factor
+    # and most maximal minors of the even system are singular
+    budget = 64
+    calls = []
+    real = linsolve._bareiss_rank
+
+    def counted(M):
+        calls.append(len(M))
+        if len(calls) > budget + 1:
+            raise AssertionError("more eliminations than the minor budget allows")
+        return real(M)
+
+    monkeypatch.setattr(LambdaPoly, "rational_roots", lambda self: [])
+    monkeypatch.setattr(linsolve, "_bareiss_rank", counted)
+    assert solve_even(ctx, 8, verify=False) is None
+    assert len(calls) <= budget + 1

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2fmethod.operators import (
@@ -70,6 +71,12 @@ def test_operator_grammar_roundtrip():
     op = parse_operator(s)
     assert parse_operator(str(op)) == op
     assert op.coefficient((0, 0, 0, 0, 1), (0, 0, 1, 0, 0)) == 2
+
+
+def test_operator_grammar_rejects_dangling_power():
+    for text in ("d1^", "x4*d3^ + d1", "(L*d1"):
+        with pytest.raises(ValueError):
+            parse_operator(text)
 
 
 @st.composite

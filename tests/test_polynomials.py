@@ -78,6 +78,12 @@ def test_parse_rejects_unknown_symbol():
         parse_xi_polynomial("x9")
 
 
+@pytest.mark.parametrize("text", ["(L", "(2*L + 5*x1", "x1^", "L^", "x1^x2", "x3*x1^"])
+def test_parse_rejects_unconsumed_input(text):
+    with pytest.raises(ValueError):
+        parse_xi_polynomial(text)
+
+
 @st.composite
 def polynomials(draw):
     n_terms = draw(st.integers(0, 5))

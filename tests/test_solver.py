@@ -121,6 +121,23 @@ def test_solve_even_homogeneity_32_closed_forms(ctx):
     assert len(ctx.module._memo) <= 21
 
 
+def test_solve_even_homogeneity_48_frontier(ctx):
+    cert = solve_even(ctx, 24, verify=True)
+    assert cert is not None
+    assert cert.lam == F(43, 2)
+    assert cert.coefficients == [F(4 ** s * math.comb(24, s)) for s in range(25)]
+    assert cert.xi_polynomial == LAPLACE_DUAL ** 24
+    bools = {k: v for k, v in cert.checks.items() if isinstance(v, bool)}
+    assert len(bools) == 5 and all(bools.values()), bools
+
+
+def test_verdict_witnesses_at_homogeneity_80():
+    verdict = nonstandard_verdict(F(75, 2))
+    assert verdict.so7_witness == {4: 1, 6: 79}
+    assert verdict.g2_witness == {4: 2, 5: 27, 6: 25}
+    assert verdict.nonstandard_so7 and verdict.nonstandard_g2
+
+
 def test_solve_even_certificate_json(ctx):
     cert = solve_even(ctx, 2)
     doc = cert.to_json()

@@ -150,6 +150,19 @@ def test_representation_property_random(module, so7):
         assert lhs == rhs
 
 
+def test_act_at_a_parameter_value_matches_evaluation(module, so7):
+    rng = random.Random(77)
+    labels = so7.labels
+    for _ in range(60):
+        x = {rng.choice(labels): F(rng.randint(-3, 3)) for _ in range(2)}
+        v = VermaVector({
+            tuple(rng.randint(0, 3) for _ in range(5)): LambdaPoly([F(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2)])
+            for _ in range(4)
+        })
+        lam = F(rng.randint(-9, 9), rng.randint(1, 4))
+        assert module.act(x, v, lam=lam) == module.act(x, v).evaluate_lambda(lam)
+
+
 def test_cartan_diagonal_on_monomials(module, so7):
     # h acts diagonally with eigenvalue chi(h) + (sum of the roots)(h)
     for h in ("h1", "h2", "h3"):
