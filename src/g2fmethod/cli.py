@@ -171,7 +171,10 @@ def format_psi(w: WeightVec) -> str:
 
 
 def cmd_algebra(args) -> int:
-    table = build_so_odd(args.n)
+    try:
+        table = build_so_odd(args.n)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     checks_ok = table.antisymmetry_check() and table.eigenvector_check() and table.jacobi_check()
     lines = [
         f"dim {table.dimension}, positive roots {len(table.positive_root_labels)}, "
@@ -190,6 +193,8 @@ def cmd_algebra(args) -> int:
 
 def cmd_embedding(args) -> int:
     if args.action in ("project", "inject"):
+        if args.weight is None:
+            raise SystemExit(f"embedding {args.action} requires --weight")
         try:
             w = parse_weight(args.weight)
         except ValueError as exc:
@@ -242,10 +247,16 @@ def cmd_embedding(args) -> int:
 
 
 def cmd_parabolic(args) -> int:
-    mask = tuple(int(x) for x in args.mask.split(","))
+    try:
+        mask = tuple(int(x) for x in args.mask.split(","))
+    except ValueError:
+        raise SystemExit(f"cannot parse mask {args.mask!r}")
     so7 = build_so_odd(3)
     table = so7 if args.algebra == "so7" else embed_g2(so7).g2
-    p = parabolic(table, mask)
+    try:
+        p = parabolic(table, mask)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     text = (
         f"levi roots: {', '.join(str(l) for l in p.levi_root_labels)}\n"
         f"nilradical: {', '.join(str(l) for l in p.nilradical_labels)}\n"
@@ -347,8 +358,11 @@ def cmd_singular(args) -> int:
 def cmd_oracle(args) -> int:
     if args.degree < 0:
         raise SystemExit("degree must be non-negative")
+    try:
+        lam = rational_from_string(getattr(args, "lambda"))
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     ctx = SolverContext()
-    lam = rational_from_string(getattr(args, "lambda"))
     anns = (
         pprime_annihilators(ctx.emb)
         if args.annihilators == "pprime"

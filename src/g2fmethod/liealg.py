@@ -31,7 +31,6 @@ h_n = 1/2 [g_n, g_-n]  for the short one.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -355,6 +354,10 @@ class StructureTable:
         }
 
     def checksum(self) -> str:
+        # imported here: hashlib loads OpenSSL, about 2 MB of resident memory
+        # that most runs, which print no checksum, need not carry
+        import hashlib
+
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -24,7 +24,7 @@ from .polynomials import (
     parse_terms,
     term_sort_key,
 )
-from .scalars import LambdaPoly, Scalar
+from .scalars import ZERO, LambdaPoly, Scalar
 
 OpKey = Tuple[Monomial, Monomial]
 
@@ -176,7 +176,7 @@ def op_apply(D: DiffOperator, p: XiPolynomial) -> XiPolynomial:
             if factor == 0:
                 continue
             target = tuple(mi - di + xi for mi, di, xi in zip(m, dm, xm))
-            out[target] = out.get(target, LambdaPoly()) + c * v * factor
+            out[target] = out.get(target, ZERO) + c * v * factor
     return XiPolynomial(out)
 
 

@@ -13,6 +13,7 @@ The text grammar writes the variables as ``x1 .. x5``:
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple, Union
@@ -117,7 +118,7 @@ class XiPolynomial:
     def __add__(self, other: "XiPolynomial") -> "XiPolynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, LambdaPoly()) + c
+            out[m] = out.get(m, ZERO) + c
         return XiPolynomial(out)
 
     def __neg__(self) -> "XiPolynomial":
@@ -134,18 +135,42 @@ class XiPolynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                out[m] = out.get(m, LambdaPoly()) + ca * cb
+                out[m] = out.get(m, ZERO) + ca * cb
         return XiPolynomial(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "XiPolynomial":
+        """Binomial expansion  (lead + rest)^n = sum_k C(n, k) lead^(n-k) rest^k.
+
+        ``lead`` is one term, so its powers are a monomial and a coefficient
+        power; the powers of ``rest`` are built one multiplication at a time.
+        For a polynomial of a few terms this is O(n^2) term products, not the
+        O(n^3) of multiplying by one factor at a time.
+        """
         if n < 0:
             raise ValueError("negative power")
-        r = XiPolynomial.constant(1)
+        if n == 0:
+            return XiPolynomial.constant(1)
+        if not self.terms:
+            return XiPolynomial.zero()
+        items = iter(self.terms.items())
+        lead_m, lead_c = next(items)
+        rest = XiPolynomial(dict(items))
+        lead_pows = [LambdaPoly.const(1)]
         for _ in range(n):
-            r = r * self
-        return r
+            lead_pows.append(lead_pows[-1] * lead_c)
+        out: Dict[Monomial, LambdaPoly] = {}
+        rest_k = XiPolynomial.constant(1)
+        for k in range(n + 1):
+            if k:
+                rest_k = rest_k * rest
+            shift = tuple(e * (n - k) for e in lead_m)
+            c = lead_pows[n - k] * math.comb(n, k)
+            for m, v in rest_k.terms.items():
+                t = mono_mul(shift, m)
+                out[t] = out.get(t, ZERO) + c * v
+        return XiPolynomial(out)
 
     def scale(self, c: Scalar) -> "XiPolynomial":
         return self * LambdaPoly.coerce(c)

@@ -24,7 +24,10 @@ def rational_from_string(s: str) -> Fraction:
     s = s.strip()
     if not re.fullmatch(r"[+-]?\d+(/\d+)?", s):
         raise ValueError(f"not a rational: {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None
 
 
 def rational_to_string(x: Fraction) -> str:
@@ -46,6 +49,16 @@ class LambdaPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _of_fractions(cls, cs: list) -> "LambdaPoly":
+        """From a list the caller knows holds only ``Fraction``s (the output
+        of arithmetic on coefficients), skipping the conversion."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -105,19 +118,19 @@ class LambdaPoly:
 
     def __add__(self, other: Scalar) -> "LambdaPoly":
         other = LambdaPoly.coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return LambdaPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return LambdaPoly._of_fractions([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly([-c for c in self.coeffs])
+        return LambdaPoly._of_fractions([-c for c in self.coeffs])
 
     def __sub__(self, other: Scalar) -> "LambdaPoly":
         return self + (-LambdaPoly.coerce(other))
@@ -126,16 +139,23 @@ class LambdaPoly:
         return LambdaPoly.coerce(other) + (-self)
 
     def __mul__(self, other: Scalar) -> "LambdaPoly":
-        other = LambdaPoly.coerce(other)
+        if not isinstance(other, LambdaPoly):
+            if not other:
+                return LambdaPoly()
+            other = Fraction(other)
+            return LambdaPoly._of_fractions([a * other for a in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return LambdaPoly()
+        if len(other.coeffs) == 1:
+            b = other.coeffs[0]
+            return LambdaPoly._of_fractions([a * b for a in self.coeffs])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return LambdaPoly(out)
+        return LambdaPoly._of_fractions(out)
 
     __rmul__ = __mul__
 
@@ -177,6 +197,8 @@ class LambdaPoly:
 
     def __call__(self, x: Union[int, Fraction]) -> Fraction:
         """Evaluate at an exact rational point (Horner)."""
+        if len(self.coeffs) <= 1:
+            return self.coeffs[0] if self.coeffs else Fraction(0)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -36,7 +36,7 @@ from .liealg import (
 from .linsolve import kernel_basis, param_solve, rank
 from .operators import DiffOperator, op_apply
 from .polynomials import Monomial, XiPolynomial, term_sort_key
-from .scalars import LAMBDA, LambdaPoly, rational_to_string
+from .scalars import LAMBDA, ZERO, LambdaPoly, rational_to_string
 from .verma import VermaModule, VermaVector
 
 I1 = XiPolynomial({(1, 0, 0, 1, 0): LambdaPoly.const(1), (0, 1, 0, 0, 1): LambdaPoly.const(1)})
@@ -78,10 +78,17 @@ _H_WEIGHTS = (1, 1, 0, -1, -1)
 
 
 def invariant_monomial_basis(d: int) -> List[XiPolynomial]:
-    """The expected basis I1^k x3^(d-2k), k = 0..floor(d/2)."""
+    """The expected basis I1^k x3^(d-2k), k = 0..floor(d/2).
+
+    The powers of I1 are built one multiplication per step, and x3^j is a
+    single monomial.
+    """
     out = []
+    i1_pow = XiPolynomial.constant(1)
     for k in range(d // 2 + 1):
-        out.append((I1 ** k) * (X3 ** (d - 2 * k)))
+        if k:
+            i1_pow = i1_pow * I1
+        out.append(i1_pow * XiPolynomial.monomial((0, 0, d - 2 * k, 0, 0)))
     return out
 
 
@@ -282,13 +289,37 @@ class SingularCertificate:
 
 
 def _collect_system(ctx: SolverContext, basis: Sequence[XiPolynomial]):
-    """Matrix of raw monomial coefficients of the lowered basis images."""
-    images = [op_apply(ctx.lowering_op, p) for p in basis]
-    monomials = sorted({m for img in images for m in img.terms}, key=term_sort_key, reverse=True)
-    matrix = [
-        [img.coefficient(m) for img in images]
-        for m in monomials
-    ]
+    """Raw monomial coefficients of the lowered basis images, one row per
+    monomial, with rows that repeat an earlier one up to a rational factor
+    left out.
+
+    Returns (dense rows, their monomials); the column j is basis element j,
+    and the monomials run in descending term order.  A row is keyed by its
+    entries divided by the leading coefficient of its first nonzero entry, a
+    nonzero rational, so two rows share a key exactly when one is a
+    rational-constant multiple of the other, and the first one is kept.  Such
+    rows have the same zeros at every parameter value, so the kernel is the
+    same at every value.  No row is divided by a polynomial in the
+    parameter: a row proportional to another only over the rational
+    functions stays, since at a root of the factor it vanishes and the other
+    does not.  The even system keeps 2N of its N(N+1) rows.
+    """
+    sparse: Dict[Monomial, Dict[int, LambdaPoly]] = {}
+    for j, p in enumerate(basis):
+        for m, c in op_apply(ctx.lowering_op, p).terms.items():
+            sparse.setdefault(m, {})[j] = c     # ascending j: the first entry is the row's first
+    seen = set()
+    matrix, monomials = [], []
+    width = len(basis)
+    for m in sorted(sparse, key=term_sort_key, reverse=True):
+        row = sparse[m]
+        lead = next(iter(row.values())).leading()
+        key = tuple((j, tuple(x / lead for x in c.coeffs)) for j, c in row.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        matrix.append([row.get(j, ZERO) for j in range(width)])
+        monomials.append(m)
     return matrix, monomials
 
 
@@ -296,8 +327,12 @@ def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[Sing
     """Certificate for homogeneity 2N, or None when no parameter works.
 
     The linear system comes from generic coefficient collection, not from
-    any closed recursion; the parametric kernel must consist of a single
-    rational parameter value with a one-dimensional kernel.
+    any closed recursion: ``_collect_system`` keeps one row of each set of
+    rows that are rational multiples of each other, 2N of the N(N+1), which
+    leaves the kernel at every parameter value as it was.  The parametric
+    kernel must consist of a single rational parameter value with a
+    one-dimensional kernel.  The certificate polynomial  sum_s A_s I1^s
+    x3^(2N-2s)  is summed into one term dict.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -315,9 +350,11 @@ def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[Sing
     if a0 == 0:
         return None
     coefficients = [c / a0 for c in vec]
-    poly = XiPolynomial.zero()
+    terms: Dict[Monomial, LambdaPoly] = {}
     for p, a in zip(basis, coefficients):
-        poly = poly + p * LambdaPoly.const(a)
+        for m, c in p.terms.items():
+            terms[m] = terms.get(m, ZERO) + c * a
+    poly = XiPolynomial(terms)
     cert = SingularCertificate(
         homogeneity_half=N,
         lam=lam,
@@ -359,7 +396,7 @@ def solve_odd(ctx: SolverContext, N: int) -> OddReport:
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    basis = [(I1 ** k) * (X3 ** (2 * (N - k) + 1)) for k in range(N + 1)]
+    basis = invariant_monomial_basis(2 * N + 1)      # I1^k x3^(2N+1-2k), k = 0..N
     matrix, _ = _collect_system(ctx, basis)
     result = param_solve(matrix)
     empty = (not result.identically_singular) and not result.solutions and not result.unresolved_factors

@@ -10,8 +10,9 @@ vector.  The inducing character takes the value  lam * (diagonal at the
 first plus vector)  on Cartan elements and zero on the rest of the
 parabolic.  The action tables keep the parameter symbolic, so one table
 serves every specialization; an action at a given rational value (the
-certificate checks, the kernel search) evaluates the character entries it
-meets there and runs over ``Fraction`` coefficients, with no table per value.
+certificate checks, the kernel search) evaluates the tables it needs there,
+scales them and the vector to integers by one common denominator, and
+accumulates Python ``int``s, dividing once at the end.
 
 The eps1-coordinate of a root grades so(7) as  g_-1 + g_0 + g_1  (checked
 from the bracket table when the module is built: the y's span g_-1 and every
@@ -30,6 +31,7 @@ memory does not grow with the degree.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -176,39 +178,86 @@ class VermaModule:
     def _action_table(self, label: Label, g: int) -> Tuple[int, object, object]:
         """One label's action table: (grade, character part, bracket part).
 
-        Grade -1 needs none (the action multiplies); grade 0 keeps chi(X)
-        and [X, y_i] by i; grade +1 keeps chi([X, y_i]) by i and
-        [[X, y_i], y_j] by i and j.  Brackets are kept as ``_y_coords`` pairs.
+        Grade -1 keeps the position of its y-coordinate (the action
+        multiplies); grade 0 keeps chi(X) and [X, y_i] by i; grade +1 keeps
+        chi([X, y_i]) by i and  1/2 [[X, y_i], y_j]  by i and j, the 1/2 of
+        the second-order term folded in.  Brackets are kept as ``_y_coords``
+        pairs.
         """
         if g == -1:
-            return g, None, None
+            return g, self.coord_index[label], None
         x = {label: Fraction(1)}
         ys = [{l: Fraction(1)} for l in COORD_LABELS]
         first = [self.so7.bracket(x, y) for y in ys]            # [X, y_i]
         if g == 0:
             return g, self._chi(x), tuple(self._y_coords(b) for b in first)
         second = tuple(
-            tuple(self._y_coords(self.so7.bracket(b, y)) for y in ys)   # [[X, y_i], y_j]
+            tuple(
+                tuple((k, _HALF * c) for k, c in self._y_coords(self.so7.bracket(b, y)))
+                for y in ys                                     # 1/2 [[X, y_i], y_j]
+            )
             for b in first
         )
         return g, tuple(self._chi(b) for b in first), second
 
+    def _integer_table(self, label: Label, lam: Fraction) -> Tuple[Tuple[int, object, object], int]:
+        """The label's action table at ``lam``, times its least common
+        denominator ``den``, so every scalar in it is an ``int``; with ``den``."""
+        table = self._memo[label]
+        g, chi, brackets = table
+        if g == -1:
+            return table, 1
+        chis = [c(lam) for c in ((chi,) if g == 0 else chi)]
+        cells = brackets if g == 0 else [cell for row in brackets for cell in row]
+        den = math.lcm(*(q.denominator for q in chis),
+                       *(c.denominator for cell in cells for _, c in cell))
+
+        def up(q: Fraction) -> int:
+            return q.numerator * (den // q.denominator)
+
+        def up_cell(cell):
+            return tuple((k, up(c)) for k, c in cell)
+
+        if g == 0:
+            return (g, up(chis[0]), tuple(up_cell(cell) for cell in brackets)), den
+        return (g, tuple(up(q) for q in chis),
+                tuple(tuple(up_cell(cell) for cell in row) for row in brackets)), den
+
+    def _integer_action(self, x: Element, lam: Fraction) -> Tuple[List[Tuple[object, int]], int]:
+        """The action of ``x`` at ``lam`` over the integers.
+
+        Returns (pairs of an integer table and its integer multiplier, the
+        common denominator D): X y^m v is 1/D times the sum over the pairs of
+        multiplier * (the table's action on y^m).
+        """
+        scaled = []
+        for l, c in x.items():
+            if c:
+                table, den = self._integer_table(l, lam)
+                scaled.append((table, Fraction(c), den))
+        common = math.lcm(*(c.denominator * den for _, c, den in scaled))
+        return [
+            (table, c.numerator * (common // (c.denominator * den)))
+            for table, c, den in scaled
+        ], common
+
     # -- the action -------------------------------------------------------
 
-    def _act_into(self, out: Dict[Monomial, Scalar], label: Label, m: Monomial,
-                  coeff: Scalar, lam: Optional[Fraction] = None) -> None:
-        """Add  coeff * X y^m v  to ``out``, X the basis element ``label``.
+    def _act_into(self, out: Dict[Monomial, Scalar], table: Tuple[int, object, object],
+                  m: Monomial, coeff: Scalar) -> None:
+        """Add  coeff * X y^m v  to ``out``, for the X whose action table is ``table``.
 
-        With ``lam`` the character is evaluated there, so ``coeff`` and the
-        values added are ``Fraction``s; without it they are ``LambdaPoly``s.
+        The table's scalars, ``coeff`` and the values added share one ring:
+        ``LambdaPoly`` with a table of ``_memo``, ``int`` with a table of
+        ``_integer_table``.
         """
-        g, chi, brackets = self._memo[label]
+        g, chi, brackets = table
         if g == -1:
-            _add_term(out, _shifted(m, self.coord_index[label], 1), coeff)
+            _add_term(out, _shifted(m, chi, 1), coeff)
         elif g == 0:
             # chi(X) y^m + sum_i d_i(y^m) [X, y_i]
             if chi:
-                _add_term(out, m, coeff * (chi if lam is None else chi(lam)))
+                _add_term(out, m, coeff * chi)
             for i, mi in enumerate(m):
                 if mi:
                     base = _shifted(m, i, -1)
@@ -221,34 +270,47 @@ class VermaModule:
                     continue
                 mi_m = _shifted(m, i, -1)
                 if chi[i]:
-                    _add_term(out, mi_m, coeff * ((chi[i] if lam is None else chi[i](lam)) * mi))
+                    _add_term(out, mi_m, coeff * (chi[i] * mi))
                 for j, mj in enumerate(mi_m):
                     if mj:
                         base = _shifted(mi_m, j, -1)
                         for k, c in brackets[i][j]:
-                            _add_term(out, _shifted(base, k, 1),
-                                      coeff * (_HALF * mi * mj * c))
+                            _add_term(out, _shifted(base, k, 1), coeff * (mi * mj * c))
 
     def act_basis(self, label: Label, m: Monomial) -> VermaVector:
         """Action of a basis element on a single ordered monomial."""
         out: Dict[Monomial, LambdaPoly] = {}
-        self._act_into(out, label, m, ONE)
+        self._act_into(out, self._memo[label], m, ONE)
         return VermaVector(out)
 
     def act(self, x: Element, v: VermaVector, lam: Optional[Fraction] = None) -> VermaVector:
         """Exact module action of a so(7) element.
 
         With ``lam`` the result is the action at that parameter value, equal to
-        ``act(x, v).evaluate_lambda(lam)`` but computed over rationals.
+        ``act(x, v).evaluate_lambda(lam)``.  It is computed over the integers:
+        the values of ``v`` at ``lam`` are scaled by their common denominator,
+        and the character values, the 1/2 and the coefficients of ``x`` by
+        that of ``_integer_action``; the sums are Python ``int``s, divided by
+        the product of the two denominators once per result monomial.
         """
-        out: Dict[Monomial, Scalar] = {}
-        terms = v.terms.items() if lam is None else [(m, c(lam)) for m, c in v.terms.items()]
-        for l, c in x.items():
-            if c == 0:
-                continue
-            for m, coeff in terms:
-                self._act_into(out, l, m, coeff * c, lam)
-        return VermaVector(out)
+        if lam is None:
+            out: Dict[Monomial, Scalar] = {}
+            for l, c in x.items():
+                if c == 0:
+                    continue
+                table = self._memo[l]
+                for m, coeff in v.terms.items():
+                    self._act_into(out, table, m, coeff * c)
+            return VermaVector(out)
+        values = [(m, c(lam)) for m, c in v.terms.items()]
+        dv = math.lcm(*(q.denominator for _, q in values))
+        action, den = self._integer_action(x, lam)
+        sums: Dict[Monomial, int] = {}
+        for table, k in action:
+            for m, q in values:
+                self._act_into(sums, table, m, q.numerator * (dv // q.denominator) * k)
+        den *= dv
+        return VermaVector({m: Fraction(n, den) for m, n in sums.items()})
 
     # -- weights -----------------------------------------------------------
 
@@ -256,21 +318,22 @@ class VermaModule:
         """Orthonormal-basis weight of a weight-homogeneous vector.
 
         Coordinates are parameter polynomials: the highest weight itself is
-        lam * eps1.  Raises on inhomogeneous input.
+        lam * eps1.  Raises on inhomogeneous input.  The monomials' root sums
+        are compared over the integers, the roots scaled by their common
+        denominator.
         """
         if v.is_zero():
             raise ValueError("zero vector has no weight")
-        weights = set()
-        for m in v.terms:
-            shift = [Fraction(0)] * 3
-            for e, l in zip(m, COORD_LABELS):
-                if e:
-                    root = self.so7.roots[l]
-                    shift = [s + e * c for s, c in zip(shift, root.coords)]
-            weights.add(tuple(shift))
+        roots = [self.so7.roots[l].coords for l in COORD_LABELS]
+        den = math.lcm(*(c.denominator for root in roots for c in root))
+        scaled = [[c.numerator * (den // c.denominator) for c in root] for root in roots]
+        weights = {
+            tuple(sum(e * root[k] for e, root in zip(m, scaled)) for k in range(3))
+            for m in v.terms
+        }
         if len(weights) > 1:
             raise ValueError("vector is not weight-homogeneous")
-        shift = next(iter(weights))
+        shift = [Fraction(s, den) for s in next(iter(weights))]
         return eps_weight((LAMBDA + shift[0], LambdaPoly.const(shift[1]), LambdaPoly.const(shift[2])))
 
     # -- singular vector search ---------------------------------------------
@@ -299,7 +362,8 @@ class VermaModule:
 
         The degree space splits by Cartan weight; each block is solved
         separately and the kernels are concatenated, which keeps the
-        elimination small.  The action runs at ``lam0``, over rationals.
+        elimination small.  The action runs at ``lam0``, over the integers,
+        and each entry is divided by the annihilator's common denominator.
         """
         if degree < 0:
             raise ValueError("degree must be non-negative")
@@ -309,23 +373,23 @@ class VermaModule:
             key = (m[0] - m[3], m[4] - m[1])
             blocks.setdefault(key, []).append(m)
 
+        actions = [self._integer_action(ann, lam0) for ann in annihilators]
         vectors: List[VermaVector] = []
         for key in sorted(blocks):
             block = blocks[key]
             rows: Dict[Tuple[int, Monomial], List[Fraction]] = {}
             for col, m in enumerate(block):
-                for ai, ann in enumerate(annihilators):
-                    image: Dict[Monomial, Fraction] = {}
-                    for l, c in ann.items():
-                        if c:
-                            self._act_into(image, l, m, c, lam0)
+                for ai, (action, den) in enumerate(actions):
+                    image: Dict[Monomial, int] = {}
+                    for table, k in action:
+                        self._act_into(image, table, m, k)
                     for tm, val in image.items():
                         if val == 0:
                             continue
                         row = rows.setdefault(
                             (ai, tm), [Fraction(0)] * len(block)
                         )
-                        row[col] += val
+                        row[col] += Fraction(val, den)
             matrix = [rows[k] for k in sorted(rows)]
             if not matrix:
                 kernel = [

@@ -246,3 +246,32 @@ def test_embedding_rejects_unparsed_weight(capsys, action):
         cli.main(["embedding", action, "--weight", "eps1?eps2"])
     assert str(exc.value) == "cannot parse weight 'eps1?eps2'"
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["embedding", "project"], "embedding project requires --weight"),
+    (["embedding", "inject"], "embedding inject requires --weight"),
+    (["parabolic", "--algebra", "so7", "--mask", "1,x"], "cannot parse mask '1,x'"),
+    (["parabolic", "--algebra", "g2", "--mask", "1,0,0"], "mask must be 2 entries of 0/1"),
+    (["oracle", "--degree", "2", "--lambda=1/0"], "zero denominator: '1/0'"),
+    (["oracle", "--degree", "2", "--lambda=x"], "not a rational: 'x'"),
+    (["algebra", "--n", "1"], "rank must be at least 2"),
+])
+def test_bad_input_is_a_one_line_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert str(exc.value) == message
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_input_exits_one_with_empty_stdout():
+    import subprocess
+    import sys
+
+    for argv in (["embedding", "project"], ["parabolic", "--algebra", "so7", "--mask", "1,x"],
+                 ["oracle", "--degree", "2", "--lambda=1/0"], ["algebra", "--n", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "g2fmethod", *argv], capture_output=True, text=True)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == "", argv
+        assert len(proc.stderr.strip().splitlines()) == 1, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv

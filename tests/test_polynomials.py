@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,3 +118,46 @@ def test_homogeneity_and_degree():
     assert p.is_homogeneous()
     assert p.total_degree() == 2
     assert not (p + x3).is_homogeneous()
+
+
+def repeated_product(p, n):
+    r = XiPolynomial.constant(1)
+    for _ in range(n):
+        r = r * p
+    return r
+
+
+def test_power_edge_cases():
+    zero = XiPolynomial.zero()
+    assert zero ** 0 == XiPolynomial.constant(1)
+    assert zero ** 3 == zero
+    assert x1 ** 0 == XiPolynomial.constant(1)
+    one_term = XiPolynomial.monomial((1, 0, 2, 0, 0), LAMBDA + 2)
+    for n in range(6):
+        assert one_term ** n == repeated_product(one_term, n)
+    with pytest.raises(ValueError):
+        x1 ** -1
+
+
+def test_power_with_parameter_coefficients():
+    p = x1 * x4 * (LAMBDA * 2 + 1) + x3 * x3 * Fraction(-1, 3) + XiPolynomial.constant(LAMBDA)
+    for n in range(7):
+        assert p ** n == repeated_product(p, n), n
+
+
+def test_power_matches_repeated_product_on_random_polynomials():
+    rng = random.Random(2024)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            mono = tuple(rng.randint(0, 2) for _ in range(5))
+            terms[mono] = LambdaPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                      for _ in range(rng.randint(1, 2))])
+        p = XiPolynomial(terms)
+        n = rng.randint(0, 6)
+        assert p ** n == repeated_product(p, n), (p, n)
+
+
+def test_power_of_the_laplace_dual_form():
+    q = (x1 * x4 + x2 * x5) * 4 + x3 * x3
+    assert q ** 12 == repeated_product(q, 12)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,3 +105,37 @@ def test_rational_strings():
     assert rational_to_string(Fraction(8, 4)) == "2"
     with pytest.raises(ValueError):
         rational_from_string("1.5")
+
+
+def test_arithmetic_keeps_the_normal_form():
+    # results built without re-converting their coefficients still hold only
+    # Fractions, with no trailing zero, and equal the textbook operations
+    rng = random.Random(11)
+
+    def rand_poly():
+        return LambdaPoly([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))])
+
+    for _ in range(300):
+        a, b = rand_poly(), rand_poly()
+        k = rng.choice([0, 2, -1, Fraction(-2, 3)])
+        n = max(len(a.coeffs), len(b.coeffs))
+
+        def pad(p):
+            return list(p.coeffs) + [Fraction(0)] * (n - len(p.coeffs))
+
+        conv = [Fraction(0)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                conv[i + j] += x * y
+        for got, want in ((a + b, [x + y for x, y in zip(pad(a), pad(b))]),
+                          (a - b, [x - y for x, y in zip(pad(a), pad(b))]),
+                          (-a, [-x for x in a.coeffs]),
+                          (a * b, conv),
+                          (a * k, [x * k for x in a.coeffs]),
+                          (k * a, [x * k for x in a.coeffs])):
+            assert got == LambdaPoly(want)
+            assert all(type(c) is Fraction for c in got.coeffs)
+            assert not got.coeffs or got.coeffs[-1] != 0
+        x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        assert a(x) == sum((c * x ** i for i, c in enumerate(a.coeffs)), Fraction(0))
+        assert type(a(x)) is Fraction

@@ -1,19 +1,24 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from g2fmethod.liealg import alpha_weight, eps_weight
-from g2fmethod.polynomials import parse_xi_polynomial
+from g2fmethod.linsolve import param_solve
+from g2fmethod.operators import DiffOperator, op_apply
+from g2fmethod.polynomials import XiPolynomial, parse_xi_polynomial, term_sort_key
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 from g2fmethod.solver import (
     I1,
     LAPLACE_DUAL,
     X3,
+    _collect_system,
     hilbert_closed_form,
     hilbert_multiplicity,
     hilbert_series_check,
+    invariant_monomial_basis,
     invariants_of_degree,
     nonstandard_verdict,
     oracle_matches_certificate,
@@ -265,3 +270,71 @@ def test_solver_scan_pattern(ctx):
             assert cert is not None and cert.lam == F(d, 2) - F(5, 2)
         else:
             assert solve_odd(ctx, (d - 1) // 2).empty_for_all_lambda
+
+
+# -- the reduced even and odd systems --------------------------------------------
+
+
+def _full_system(ctx, basis):
+    """Every monomial's row of the lowered images, duplicates included."""
+    images = [op_apply(ctx.lowering_op, p) for p in basis]
+    monomials = sorted({m for img in images for m in img.terms}, key=term_sort_key, reverse=True)
+    return [[img.coefficient(m) for img in images] for m in monomials]
+
+
+def test_invariant_basis_matches_powers():
+    for d in range(0, 21):
+        assert invariant_monomial_basis(d) == [(I1 ** k) * (X3 ** (d - 2 * k)) for k in range(d // 2 + 1)]
+
+
+def test_even_system_keeps_2N_rows(ctx):
+    for N in range(1, 13):
+        matrix, monomials = _collect_system(ctx, invariant_monomial_basis(2 * N))
+        assert len(matrix) == len(monomials) == 2 * N
+        assert len(_full_system(ctx, invariant_monomial_basis(2 * N))) == N * (N + 1)
+        assert all(len(row) == N + 1 for row in matrix)
+
+
+def test_reduced_system_solves_like_the_full_one(ctx):
+    cases = [2 * N for N in range(1, 13)] + [2 * N + 1 for N in range(0, 11)]
+    for d in cases:
+        basis = invariant_monomial_basis(d)
+        reduced, _ = _collect_system(ctx, basis)
+        full = _full_system(ctx, basis)
+        a, b = param_solve(reduced), param_solve(full)
+        assert a.solutions == b.solutions, d
+        assert a.identically_singular == b.identically_singular, d
+        assert a.unresolved_factors == b.unresolved_factors, d
+        assert a.lambdas == ([F(d - 5, 2)] if d % 2 == 0 else [])
+
+
+def test_rows_proportional_only_over_the_parameter_field_are_kept():
+    # the identity operator makes each basis element its own image, so the
+    # rows are read off the basis: x1^2: (0, 3L), x1: (1, L), x2: (L+1, L^2+L),
+    # x3: (-2, -2L), x4: (2L+2, 2L^2+2L), x5: (0, L)
+    one, lam = LambdaPoly.const(1), LAMBDA
+
+    def e(i, k=1):
+        return tuple(k if j == i else 0 for j in range(5))
+
+    p0 = XiPolynomial({e(0): one, e(1): lam + 1, e(2): LambdaPoly.const(-2), e(3): lam * 2 + 2})
+    p1 = XiPolynomial({e(0, 2): lam * 3, e(0): lam, e(1): lam * lam + lam, e(2): lam * -2,
+                       e(3): (lam * lam + lam) * 2, e(4): lam})
+    identity = SimpleNamespace(lowering_op=DiffOperator.constant(1))
+    matrix, monomials = _collect_system(identity, [p0, p1])
+    # x3 is -2 times x1 and x4 twice x2: dropped; x5 is a third of x1^2:
+    # dropped, the first of the two kept; x2 is (L+1) times x1: kept
+    assert monomials == [e(0, 2), e(0), e(1)]
+    assert matrix == [[LambdaPoly(), lam * 3], [one, lam], [lam + 1, lam * lam + lam]]
+
+
+def test_solve_even_homogeneity_80_checks(ctx):
+    cert = solve_even(ctx, 40, verify=True)
+    assert cert is not None
+    assert cert.lam == F(75, 2)
+    assert cert.coefficients == [F(4 ** s * math.comb(40, s)) for s in range(41)]
+    assert cert.xi_polynomial == LAPLACE_DUAL ** 40
+    bools = {k: v for k, v in cert.checks.items() if isinstance(v, bool)}
+    assert set(bools) == {"p_prime_singular", "so7_singular", "weight_matches_reflection_law",
+                          "nonstandard_so7", "nonstandard_g2"}
+    assert all(bools.values()), bools

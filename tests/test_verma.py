@@ -161,6 +161,15 @@ def test_act_at_a_parameter_value_matches_evaluation(module, so7):
         })
         lam = F(rng.randint(-9, 9), rng.randint(1, 4))
         assert module.act(x, v, lam=lam) == module.act(x, v).evaluate_lambda(lam)
+    # element coefficients with denominators 2 and 3 share the common denominator
+    for _ in range(40):
+        x = {rng.choice(labels): F(rng.randint(-5, 5), rng.choice((2, 3))) for _ in range(3)}
+        v = VermaVector({
+            tuple(rng.randint(0, 3) for _ in range(5)): LambdaPoly([F(rng.randint(-4, 4), rng.randint(1, 5)), F(rng.randint(-2, 2), 3)])
+            for _ in range(4)
+        })
+        lam = F(rng.randint(-9, 9), rng.randint(1, 4))
+        assert module.act(x, v, lam=lam) == module.act(x, v).evaluate_lambda(lam)
 
 
 def test_cartan_diagonal_on_monomials(module, so7):
