@@ -11,7 +11,7 @@ arithmetic; there is no floating point anywhere.
 from .embedding import Embedding, embed_g2, inclusion_lattice, intersect_parabolic, parabolic
 from .liealg import WeightVec, build_g2_root_data, build_so_odd, positive_combination, reflect
 from .operators import DiffOperator, op_apply, op_compose
-from .polynomials import XiPolynomial, parse_xi_polynomial, poly_arith
+from .polynomials import XiPolynomial, parse_xi_polynomial
 from .scalars import LAMBDA, LambdaPoly
 from .solver import (
     SingularCertificate,
@@ -52,7 +52,6 @@ __all__ = [
     "op_compose",
     "parabolic",
     "parse_xi_polynomial",
-    "poly_arith",
     "positive_combination",
     "reflect",
     "solve_even",

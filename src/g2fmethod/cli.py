@@ -49,6 +49,7 @@ from .solver import (
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
 EXIT_CHECK_FAILED = 2
+EXIT_USAGE = 64     # EX_USAGE: the command line itself is malformed
 
 
 def _emit(args, text: str, payload: Optional[dict] = None, latex: Optional[str] = None,
@@ -624,8 +625,16 @@ def _add_common(p, formats=("text", "json")):
     p.add_argument("--out", help="write output to a file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit code 64, keeping
+    argparse's code 2 from reading as a failed verification."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="g2fmethod",
         description="exact singular-vector engine for the exceptional embedding into so(7)",
     )

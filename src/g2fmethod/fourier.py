@@ -27,11 +27,11 @@ GR_WEIGHTS: Tuple[int, ...] = (-1, -3, -2, -3, -1)
 
 
 def xi_from_verma(v: VermaVector) -> XiPolynomial:
-    return XiPolynomial(dict(v.terms))
+    return XiPolynomial(v.terms)
 
 
 def verma_from_xi(p: XiPolynomial) -> VermaVector:
-    return VermaVector(dict(p.terms))
+    return VermaVector(p.terms)
 
 
 def fourier_act(module: VermaModule, x: Element, p: XiPolynomial) -> XiPolynomial:

@@ -40,6 +40,26 @@ def term_sort_key(m: Monomial):
     return (sum(m), m)
 
 
+def pack_monomial(m: Monomial, w: int) -> int:
+    """The code  deg(m) 2^(5w) + sum_k m_k 2^((4-k)w)  of a monomial whose
+    exponents are all below 2^w.
+
+    The degree field, on top, is unbounded, and codes sort like
+    ``term_sort_key``.  The map is linear, so an exponent change (with
+    negative entries) packs to the offset that moves a code by it.
+    """
+    code = sum(m)
+    for e in m:
+        code = (code << w) + e
+    return code
+
+
+def unpack_monomial(code: int, w: int) -> Monomial:
+    """Inverse of ``pack_monomial`` at the same width."""
+    mask = (1 << w) - 1
+    return tuple((code >> (k * w)) & mask for k in range(NVARS - 1, -1, -1))
+
+
 class XiPolynomial:
     """Polynomial in the five dual coordinates over the parameter ring."""
 
@@ -55,6 +75,17 @@ class XiPolynomial:
                         raise ValueError(f"monomial {m} must have {NVARS} exponents")
                     clean[tuple(m)] = c
         self.terms = clean
+
+    @classmethod
+    def _of_terms(cls, terms: Dict[Monomial, LambdaPoly]) -> "XiPolynomial":
+        """From a dict the caller hands over, with exponent tuples and
+        ``LambdaPoly`` coefficients (the output of arithmetic): its zero
+        coefficients are deleted in place instead of the dict being copied."""
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     # -- constructors ----------------------------------------------------
 
@@ -170,7 +201,7 @@ class XiPolynomial:
             for m, v in rest_k.terms.items():
                 t = mono_mul(shift, m)
                 out[t] = out.get(t, ZERO) + c * v
-        return XiPolynomial(out)
+        return XiPolynomial._of_terms(out)
 
     def scale(self, c: Scalar) -> "XiPolynomial":
         return self * LambdaPoly.coerce(c)
@@ -191,17 +222,6 @@ class XiPolynomial:
 
     def to_latex(self) -> str:
         return format_terms(self.sorted_terms(), _XI_LATEX, latex=True)
-
-
-def poly_arith(a: XiPolynomial, b: XiPolynomial, op: str) -> XiPolynomial:
-    """Exact ring operation on polynomials; op is 'add', 'sub' or 'mul'."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

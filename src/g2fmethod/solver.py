@@ -16,9 +16,11 @@ enveloping-algebra form plus every verification outcome.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .embedding import Embedding
 from .fourier import extract_diffop, sl2_triple_ops, verma_from_xi
@@ -35,7 +37,7 @@ from .liealg import (
 )
 from .linsolve import kernel_basis, param_solve, rank
 from .operators import DiffOperator, op_apply
-from .polynomials import Monomial, XiPolynomial, term_sort_key
+from .polynomials import NVARS, Monomial, XiPolynomial, pack_monomial, unpack_monomial
 from .scalars import LAMBDA, ZERO, LambdaPoly, rational_to_string
 from .verma import VermaModule, VermaVector
 
@@ -54,6 +56,7 @@ class SolverContext:
         self.module = VermaModule(self.emb.so7)
         self._lowering_op: Optional[DiffOperator] = None
         self._sl2: Optional[Tuple[DiffOperator, DiffOperator, DiffOperator]] = None
+        self._lowering_moves: Optional[Tuple[List[OperatorMove], int]] = None
 
     @property
     def lowering_op(self) -> DiffOperator:
@@ -61,6 +64,13 @@ class SolverContext:
         if self._lowering_op is None:
             self._lowering_op = extract_diffop(self.module, self.emb.gen(1), 2)
         return self._lowering_op
+
+    @property
+    def lowering_moves(self) -> Tuple[List[OperatorMove], int]:
+        """The lowering operator compiled to integer moves, on first use."""
+        if self._lowering_moves is None:
+            self._lowering_moves = _compile_operator(self.lowering_op)
+        return self._lowering_moves
 
     @property
     def sl2_ops(self):
@@ -80,16 +90,14 @@ _H_WEIGHTS = (1, 1, 0, -1, -1)
 def invariant_monomial_basis(d: int) -> List[XiPolynomial]:
     """The expected basis I1^k x3^(d-2k), k = 0..floor(d/2).
 
-    The powers of I1 are built one multiplication per step, and x3^j is a
-    single monomial.
+    Each element is written down by the binomial expansion
+    I1^k = sum_i C(k, i) (x1 x4)^i (x2 x5)^(k-i),  with no multiplication.
     """
-    out = []
-    i1_pow = XiPolynomial.constant(1)
-    for k in range(d // 2 + 1):
-        if k:
-            i1_pow = i1_pow * I1
-        out.append(i1_pow * XiPolynomial.monomial((0, 0, d - 2 * k, 0, 0)))
-    return out
+    return [
+        XiPolynomial({(i, k - i, d - 2 * k, i, k - i): LambdaPoly.const(math.comb(k, i))
+                      for i in range(k + 1)})
+        for k in range(d // 2 + 1)
+    ]
 
 
 @dataclass
@@ -288,38 +296,133 @@ class SingularCertificate:
         return self.xi_polynomial.to_latex()
 
 
+OperatorMove = Tuple[Tuple[Tuple[int, int], ...], Monomial, Tuple[int, ...]]
+
+
+def _compile_operator(D: DiffOperator) -> Tuple[List[OperatorMove], int]:
+    """A normal-ordered operator as integer moves and their denominator.
+
+    Each term  c * x^a * d^b  becomes  (derivative orders, a - b, layers):
+    the orders are the (position, order) pairs of b, and the layers are the
+    coefficients of the powers of the parameter in c, times the least
+    common denominator ``den`` of all of them, one ``int`` per power.
+    """
+    den = math.lcm(*(q.denominator for c in D.terms.values() for q in c.coeffs))
+    moves = []
+    for (xm, dm), c in D.terms.items():
+        orders = tuple((i, k) for i, k in enumerate(dm) if k)
+        delta = tuple(x - d for x, d in zip(xm, dm))
+        moves.append((orders, delta, tuple(q.numerator * (den // q.denominator) for q in c.coeffs)))
+    return moves, den
+
+
 def _collect_system(ctx: SolverContext, basis: Sequence[XiPolynomial]):
     """Raw monomial coefficients of the lowered basis images, one row per
     monomial, with rows that repeat an earlier one up to a rational factor
     left out.
 
     Returns (dense rows, their monomials); the column j is basis element j,
-    and the monomials run in descending term order.  A row is keyed by its
-    entries divided by the leading coefficient of its first nonzero entry, a
-    nonzero rational, so two rows share a key exactly when one is a
-    rational-constant multiple of the other, and the first one is kept.  Such
-    rows have the same zeros at every parameter value, so the kernel is the
-    same at every value.  No row is divided by a polynomial in the
-    parameter: a row proportional to another only over the rational
-    functions stays, since at a root of the factor it vanishes and the other
-    does not.  The even system keeps 2N of its N(N+1) rows.
+    and the monomials run in descending term order.  A row is kept unless it
+    is a rational-constant multiple of an earlier one: such rows have the
+    same zeros at every parameter value, so the kernel is the same at every
+    value.  No row is divided by a polynomial in the parameter: a row
+    proportional to another only over the rational functions stays, since at
+    a root of the factor it vanishes and the other does not.  The even
+    system keeps 2N of its N(N+1) rows.
+
+    The rows are streamed.  The lowering operator is compiled once per
+    context (``_compile_operator``), monomials are packed into ``int`` codes
+    that sort in term order, and the basis is indexed by code, its
+    coefficients scaled to integers by one common denominator as they are
+    read.  The row codes come in descending order from a merge of the
+    sorted basis codes shifted by each offset of the operator; each row is
+    pulled from the index as integer layers, one per power of the
+    parameter, and is dropped unless it is kept, so the whole system is
+    never held.  A row's key is the row made primitive, sign fixed by the
+    leading layer of its first entry, so two rows share a key exactly when
+    one is a rational multiple of the other; only the kept rows get
+    ``LambdaPoly`` entries.
     """
-    sparse: Dict[Monomial, Dict[int, LambdaPoly]] = {}
+    # a stand-in context that only carries ``lowering_op`` compiles it per call
+    moves, op_den = getattr(ctx, "lowering_moves", None) or _compile_operator(ctx.lowering_op)
+    base_den = math.lcm(*(q.denominator for p in basis for c in p.terms.values() for q in c.coeffs))
+    top = max((e for p in basis for m in p.terms for e in m), default=0)
+    w = (top + max((d for _, delta, _ in moves for d in delta), default=0)).bit_length() or 1
+    mask = (1 << w) - 1
+    # the moves by offset: each is (derivative orders as (field shift, order), layers)
+    by_offset: Dict[int, List[Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]]] = {}
+    for orders, delta, layers in moves:
+        by_offset.setdefault(pack_monomial(delta, w), []).append(
+            (tuple(((NVARS - 1 - i) * w, k) for i, k in orders), layers))
+    size = max((len(layers) for _, _, layers in moves), default=1) + max(
+        (len(c.coeffs) for p in basis for c in p.terms.values()), default=1) - 1
+    # monomial code -> (column, coefficient) of the first column holding it,
+    # and every such pair for the codes held by more than one column
+    index: Dict[int, Tuple[int, LambdaPoly]] = {}
+    shared: Dict[int, List[Tuple[int, LambdaPoly]]] = {}
     for j, p in enumerate(basis):
-        for m, c in op_apply(ctx.lowering_op, p).terms.items():
-            sparse.setdefault(m, {})[j] = c     # ascending j: the first entry is the row's first
+        for m, c in p.terms.items():
+            code = pack_monomial(m, w)
+            first = index.setdefault(code, (j, c))
+            if first[0] != j:
+                shared.setdefault(code, [first]).append((j, c))
+    codes = sorted(index, reverse=True)
+
+    def rows() -> Iterator[Tuple[int, Dict[int, List[int]]]]:
+        """(code, {column: integer layers}) of each code the moves can reach,
+        in descending order.  Adding an offset keeps the basis codes sorted,
+        so the candidates are the sorted code list shifted by each distinct
+        offset, merged; a candidate no move reaches (a move that does not
+        apply to its source) gets no entry and is dropped by the caller."""
+        last = None
+        for t in heapq.merge(*(map(off.__add__, codes) for off in by_offset), reverse=True):
+            if t == last:
+                continue
+            last = t
+            row: Dict[int, List[int]] = {}
+            for off, group in by_offset.items():
+                source = t - off
+                first = index.get(source)
+                if first is None:
+                    continue
+                for orders, layers in group:
+                    f = 1
+                    for shift, k in orders:
+                        f *= math.perm((source >> shift) & mask, k)
+                    if not f:
+                        continue
+                    for j, c in shared.get(source, (first,)):
+                        acc = row.get(j)
+                        if acc is None:
+                            acc = row[j] = [0] * size
+                        for p, a in enumerate(layers):
+                            for q, b in enumerate(c.coeffs):
+                                acc[p + q] += f * a * (b.numerator * (base_den // b.denominator))
+            yield t, row
+
+    den = op_den * base_den
+    width = len(basis)
     seen = set()
     matrix, monomials = [], []
-    width = len(basis)
-    for m in sorted(sparse, key=term_sort_key, reverse=True):
-        row = sparse[m]
-        lead = next(iter(row.values())).leading()
-        key = tuple((j, tuple(x / lead for x in c.coeffs)) for j, c in row.items())
+    for t, row in rows():
+        entries = sorted((j, acc) for j, acc in row.items() if any(acc))
+        if not entries:
+            continue
+        for _, acc in entries:
+            while not acc[-1]:
+                acc.pop()
+        g = math.gcd(*(a for _, acc in entries for a in acc))
+        if entries[0][1][-1] < 0:
+            g = -g
+        key = tuple((j, tuple(a // g for a in acc)) for j, acc in entries)
         if key in seen:
             continue
         seen.add(key)
-        matrix.append([row.get(j, ZERO) for j in range(width)])
-        monomials.append(m)
+        dense = [ZERO] * width
+        for j, acc in entries:
+            dense[j] = LambdaPoly._of_fractions([Fraction(a, den) for a in acc])
+        matrix.append(dense)
+        monomials.append(unpack_monomial(t, w))
     return matrix, monomials
 
 
@@ -337,8 +440,7 @@ def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[Sing
     if N < 1:
         raise ValueError("N must be positive")
     basis = invariant_monomial_basis(2 * N)      # I1^k x3^(2N-2k), k = 0..N
-    matrix, _ = _collect_system(ctx, basis)
-    result = param_solve(matrix)
+    result = param_solve(_collect_system(ctx, basis)[0])     # the matrix is not kept
     if result.identically_singular or len(result.solutions) != 1:
         return None
     lam, kernels = result.solutions[0]
@@ -350,17 +452,19 @@ def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[Sing
     if a0 == 0:
         return None
     coefficients = [c / a0 for c in vec]
+    # the basis is consumed as the sum is built, so the two are not held at once
     terms: Dict[Monomial, LambdaPoly] = {}
-    for p, a in zip(basis, coefficients):
-        for m, c in p.terms.items():
+    for a in coefficients:
+        for m, c in basis.pop(0).terms.items():
             terms[m] = terms.get(m, ZERO) + c * a
-    poly = XiPolynomial(terms)
+    poly = XiPolynomial._of_terms(terms)
     cert = SingularCertificate(
         homogeneity_half=N,
         lam=lam,
         coefficients=coefficients,
         xi_polynomial=poly,
-        verma_vector=verma_from_xi(poly).evaluate_lambda(lam),
+        # the basis and the A_s are rational, so the polynomial is its own value at lam
+        verma_vector=verma_from_xi(poly),
         checks={},
     )
     if verify:
@@ -431,25 +535,27 @@ def borel_annihilators(emb: Embedding):
 def verify_so7_singular(ctx: SolverContext, cert: SingularCertificate) -> bool:
     """Annihilation by all three simple raising generators, at the
     certificate's parameter value (the strongest singularity form)."""
-    v = cert.verma_vector
-    for ann in borel_annihilators(ctx.emb):
-        if not ctx.module.act(ann, v, lam=cert.lam).is_zero():
-            return False
-    return True
+    return all(ctx.module.annihilates(borel_annihilators(ctx.emb), cert.verma_vector, cert.lam))
 
 
 def run_certificate_checks(ctx: SolverContext, cert: SingularCertificate) -> None:
-    """Populate the certificate's verification record in place."""
+    """Populate the certificate's verification record in place.
+
+    The p' sets and the Borel set name 13 elements but only 9 distinct ones
+    (the smaller p' set lies inside the full one, and one simple raising
+    generator is among them); ``VermaModule.annihilates`` acts with each
+    distinct element once, at the certificate's parameter value, and tests
+    its integer sums for zero.  ``p_prime_singular`` still means that every
+    element of both p' sets annihilates, and ``so7_singular`` that all
+    three simple raising generators do.
+    """
     emb = ctx.emb
     module = ctx.module
     v = cert.verma_vector
-    pprime = all(
-        module.act(a, v, lam=cert.lam).is_zero() for a in pprime_annihilators(emb)
-    )
-    pprime_full = all(
-        module.act(a, v, lam=cert.lam).is_zero() for a in pprime_full_annihilators(emb)
-    )
-    so7_sing = verify_so7_singular(ctx, cert)
+    pprime = pprime_annihilators(emb) + pprime_full_annihilators(emb)
+    kills = module.annihilates(pprime + borel_annihilators(emb), v, cert.lam)
+    pprime_all = all(kills[:len(pprime)])
+    so7_sing = all(kills[len(pprime):])
     weight = module.weight_of(v)
     w_eps1 = weight.coords[0](cert.lam)
     weight_ok = (
@@ -460,7 +566,7 @@ def run_certificate_checks(ctx: SolverContext, cert: SingularCertificate) -> Non
     verdict = nonstandard_verdict(cert.lam)
     cert.checks.update(
         {
-            "p_prime_singular": bool(pprime and pprime_full),
+            "p_prime_singular": bool(pprime_all),
             "so7_singular": bool(so7_sing),
             "weight_eps1": rational_to_string(w_eps1),
             "weight_matches_reflection_law": bool(weight_ok),

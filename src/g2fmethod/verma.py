@@ -8,11 +8,7 @@ opposite nilradical is commutative with ordered basis
 so module vectors are polynomials in the y's applied to the highest weight
 vector.  The inducing character takes the value  lam * (diagonal at the
 first plus vector)  on Cartan elements and zero on the rest of the
-parabolic.  The action tables keep the parameter symbolic, so one table
-serves every specialization; an action at a given rational value (the
-certificate checks, the kernel search) evaluates the tables it needs there,
-scales them and the vector to integers by one common denominator, and
-accumulates Python ``int``s, dividing once at the end.
+parabolic.
 
 The eps1-coordinate of a root grades so(7) as  g_-1 + g_0 + g_1  (checked
 from the bracket table when the module is built: the y's span g_-1 and every
@@ -24,9 +20,24 @@ right through y^m and writing  d_i(y^m) = m_i y^(m - e_i)  gives
     g = +1:  X y^m v = sum_i chi([X, y_i]) d_i(y^m)
                        + 1/2 sum_{i,j} d_i d_j(y^m) [[X, y_i], y_j],
 
-where the brackets, of grade -1, act by multiplication.  ``chi(X)``,
-``[X, y_i]`` and ``[[X, y_i], y_j]`` are tabulated once per basis label, so
-memory does not grow with the degree.
+where the brackets, of grade -1, act by multiplication.  So X acts by
+*moves*  (i, j, delta, c):  y^m goes to  c * mult * y^(m + delta),  with
+mult = 1, m_i, or m_i (m - e_i)_j  for no derivative, d_i, or d_i d_j.
+``chi(X)``, ``[X, y_i]`` and ``[[X, y_i], y_j]`` are tabulated as moves once
+per basis label, with the parameter symbolic, so memory does not grow with
+the degree.
+
+Each call compiles its element once (the symbolic form is remembered per
+element and width): the labels' moves are merged (moves that agree in
+(i, j, delta) are summed) and each delta becomes the offset of a packed
+code.  A monomial is packed into one ``int`` with its degree in the
+top field and one field per exponent, the field width taken from the
+input's largest exponent, so a move is one addition to the code and one
+multiply-add of coefficients.  Over ``LambdaPoly`` this is the symbolic
+action; at a rational parameter value the coefficients are evaluated there,
+scaled to integers by one common denominator, and the sums are Python
+``int``s, divided once at the end (or only tested for zero, by the
+certificate checks).
 """
 
 from __future__ import annotations
@@ -37,8 +48,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import Element, Label, StructureTable, WeightVec, eps_weight
 from .linsolve import kernel_basis
-from .polynomials import Monomial, NVARS, format_terms, parse_terms, term_sort_key
-from .scalars import LAMBDA, ONE, LambdaPoly, Scalar
+from .polynomials import (
+    Monomial,
+    NVARS,
+    format_terms,
+    pack_monomial,
+    parse_terms,
+    term_sort_key,
+    unpack_monomial,
+)
+from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, Scalar
+
+# a move (i, j, delta): derivative positions (-1 for none) and exponent change
+Move = Tuple[int, int, Monomial]
+# compiled moves sharing their derivative positions: (i, j, ((offset, coefficient), ...))
+Group = Tuple[int, int, Tuple[Tuple[int, Scalar], ...]]
 
 # coordinate order of the opposite nilradical (labels of y1..y5)
 COORD_LABELS: Tuple[int, ...] = (-1, -8, -6, -9, -4)
@@ -160,9 +184,11 @@ class VermaModule:
             elif l not in self.nilradical_neg:
                 self._char[l] = LambdaPoly()
         # one action table per basis label
-        self._memo: Dict[Label, Tuple[int, object, object]] = {
+        self._memo: Dict[Label, Dict[Move, LambdaPoly]] = {
             l: self._action_table(l, grade[l]) for l in so7.labels
         }
+        # the symbolic compiled form of each element acted with, per width
+        self._symbolic: Dict[Tuple[frozenset, int], List[Group]] = {}
 
     def _y_coords(self, x: Element) -> Tuple[Tuple[int, Fraction], ...]:
         """A grade -1 element as (coordinate position, coefficient) pairs."""
@@ -175,113 +201,107 @@ class VermaModule:
             out = out + self._char[l] * c
         return out
 
-    def _action_table(self, label: Label, g: int) -> Tuple[int, object, object]:
-        """One label's action table: (grade, character part, bracket part).
+    def _action_table(self, label: Label, g: int) -> Dict[Move, LambdaPoly]:
+        """One label's action as moves  (i, j, delta) -> coefficient.
 
-        Grade -1 keeps the position of its y-coordinate (the action
-        multiplies); grade 0 keeps chi(X) and [X, y_i] by i; grade +1 keeps
-        chi([X, y_i]) by i and  1/2 [[X, y_i], y_j]  by i and j, the 1/2 of
-        the second-order term folded in.  Brackets are kept as ``_y_coords``
-        pairs.
+        Grade -1 multiplies by its y-coordinate; grade 0 keeps chi(X) and
+        [X, y_i] by i; grade +1 keeps chi([X, y_i]) by i and
+        1/2 [[X, y_i], y_j]  by i <= j, the 1/2 folded in and the (i, j) and
+        (j, i) terms of the second-order sum added together.
         """
+        moves: Dict[Move, LambdaPoly] = {}
+
+        def add(i: int, j: int, delta: Monomial, c) -> None:
+            key = (min(i, j), max(i, j), delta) if j >= 0 else (i, j, delta)
+            moves[key] = moves.get(key, ZERO) + c
+
         if g == -1:
-            return g, self.coord_index[label], None
+            add(-1, -1, _delta(self.coord_index[label]), ONE)
+            return moves
         x = {label: Fraction(1)}
         ys = [{l: Fraction(1)} for l in COORD_LABELS]
         first = [self.so7.bracket(x, y) for y in ys]            # [X, y_i]
         if g == 0:
-            return g, self._chi(x), tuple(self._y_coords(b) for b in first)
-        second = tuple(
-            tuple(
-                tuple((k, _HALF * c) for k, c in self._y_coords(self.so7.bracket(b, y)))
-                for y in ys                                     # 1/2 [[X, y_i], y_j]
-            )
-            for b in first
-        )
-        return g, tuple(self._chi(b) for b in first), second
+            chi = self._chi(x)
+            if chi:
+                add(-1, -1, _delta(), chi)
+            for i, b in enumerate(first):
+                for k, c in self._y_coords(b):
+                    add(i, -1, _delta(k, i), c)
+            return moves
+        for i, b in enumerate(first):
+            chi = self._chi(b)
+            if chi:
+                add(i, -1, _delta(None, i), chi)
+            for j, y in enumerate(ys):
+                for k, c in self._y_coords(self.so7.bracket(b, y)):   # [[X, y_i], y_j]
+                    add(i, j, _delta(k, i, j), _HALF * c)
+        return moves
 
-    def _integer_table(self, label: Label, lam: Fraction) -> Tuple[Tuple[int, object, object], int]:
-        """The label's action table at ``lam``, times its least common
-        denominator ``den``, so every scalar in it is an ``int``; with ``den``."""
-        table = self._memo[label]
-        g, chi, brackets = table
-        if g == -1:
-            return table, 1
-        chis = [c(lam) for c in ((chi,) if g == 0 else chi)]
-        cells = brackets if g == 0 else [cell for row in brackets for cell in row]
-        den = math.lcm(*(q.denominator for q in chis),
-                       *(c.denominator for cell in cells for _, c in cell))
+    def _moves(self, key: frozenset) -> Dict[Move, LambdaPoly]:
+        """The moves of the element with nonzero items ``key``: moves that
+        agree in (i, j, delta) summed over its labels, zero sums left out."""
+        merged: Dict[Move, LambdaPoly] = {}
+        for l, c in key:
+            for move, a in self._memo[l].items():
+                merged[move] = merged.get(move, ZERO) + a * c
+        return {move: a for move, a in merged.items() if a}
 
-        def up(q: Fraction) -> int:
-            return q.numerator * (den // q.denominator)
+    def _compile(self, x: Element, w: int, lam: Optional[Fraction] = None) -> Tuple[List[Group], int]:
+        """The action of ``x`` on codes of field width ``w``, and a denominator.
 
-        def up_cell(cell):
-            return tuple((k, up(c)) for k, c in cell)
-
-        if g == 0:
-            return (g, up(chis[0]), tuple(up_cell(cell) for cell in brackets)), den
-        return (g, tuple(up(q) for q in chis),
-                tuple(tuple(up_cell(cell) for cell in row) for row in brackets)), den
-
-    def _integer_action(self, x: Element, lam: Fraction) -> Tuple[List[Tuple[object, int]], int]:
-        """The action of ``x`` at ``lam`` over the integers.
-
-        Returns (pairs of an integer table and its integer multiplier, the
-        common denominator D): X y^m v is 1/D times the sum over the pairs of
-        multiplier * (the table's action on y^m).
+        The merged moves are grouped by (i, j), each delta turned into the
+        offset of the packed code.  Without ``lam`` the coefficients are
+        parameter polynomials and the denominator is 1; this form is
+        remembered per element and width, for the operator extraction acts
+        with a few elements on many single monomials.  With ``lam`` they are
+        the values at ``lam`` times their least common denominator ``den``,
+        so the action is 1/den times the integer one.
         """
-        scaled = []
-        for l, c in x.items():
-            if c:
-                table, den = self._integer_table(l, lam)
-                scaled.append((table, Fraction(c), den))
-        common = math.lcm(*(c.denominator * den for _, c, den in scaled))
-        return [
-            (table, c.numerator * (common // (c.denominator * den)))
-            for table, c, den in scaled
-        ], common
+        key = frozenset((l, c) for l, c in x.items() if c)
+        if lam is None:
+            groups = self._symbolic.get((key, w))
+            if groups is None:
+                groups = self._symbolic[(key, w)] = _group(self._moves(key), w)
+            return groups, 1
+        moves, den = self._integer_moves(key, lam)
+        return _group(moves, w), den
+
+    def _integer_moves(self, key: frozenset, lam: Fraction) -> Tuple[Dict[Move, int], int]:
+        """The merged moves of an element at ``lam``, times their least
+        common denominator, with it."""
+        values = {move: q for move, q in ((move, a(lam)) for move, a in self._moves(key).items()) if q}
+        den = math.lcm(*(q.denominator for q in values.values()))
+        return {move: q.numerator * (den // q.denominator) for move, q in values.items()}, den
+
+    def _integer_terms(self, v: VermaVector, lam: Fraction) -> Tuple[Dict[int, Tuple[List[int], List[int]]], int, int]:
+        """``v`` at ``lam`` over the integers: by degree, the packed codes and
+        the integer values of its terms, in two lists (smaller than one list
+        of pairs); with the common denominator ``dv`` of its values and the
+        field width.  A value whose denominator is ``dv`` keeps its
+        numerator object."""
+        dv = math.lcm(*(c(lam).denominator for c in v.terms.values()))
+        w = _width(v.terms)
+        parts: Dict[int, Tuple[List[int], List[int]]] = {}
+        for m, c in v.terms.items():
+            codes, values = parts.setdefault(sum(m), ([], []))
+            q = c(lam)
+            codes.append(pack_monomial(m, w))
+            values.append(q.numerator if q.denominator == dv else q.numerator * (dv // q.denominator))
+        return parts, dv, w
 
     # -- the action -------------------------------------------------------
 
-    def _act_into(self, out: Dict[Monomial, Scalar], table: Tuple[int, object, object],
-                  m: Monomial, coeff: Scalar) -> None:
-        """Add  coeff * X y^m v  to ``out``, for the X whose action table is ``table``.
-
-        The table's scalars, ``coeff`` and the values added share one ring:
-        ``LambdaPoly`` with a table of ``_memo``, ``int`` with a table of
-        ``_integer_table``.
-        """
-        g, chi, brackets = table
-        if g == -1:
-            _add_term(out, _shifted(m, chi, 1), coeff)
-        elif g == 0:
-            # chi(X) y^m + sum_i d_i(y^m) [X, y_i]
-            if chi:
-                _add_term(out, m, coeff * chi)
-            for i, mi in enumerate(m):
-                if mi:
-                    base = _shifted(m, i, -1)
-                    for j, c in brackets[i]:
-                        _add_term(out, _shifted(base, j, 1), coeff * (mi * c))
-        else:
-            # sum_i chi([X, y_i]) d_i(y^m) + 1/2 sum_{i,j} d_i d_j(y^m) [[X, y_i], y_j]
-            for i, mi in enumerate(m):
-                if not mi:
-                    continue
-                mi_m = _shifted(m, i, -1)
-                if chi[i]:
-                    _add_term(out, mi_m, coeff * (chi[i] * mi))
-                for j, mj in enumerate(mi_m):
-                    if mj:
-                        base = _shifted(mi_m, j, -1)
-                        for k, c in brackets[i][j]:
-                            _add_term(out, _shifted(base, k, 1), coeff * (mi * mj * c))
+    def _act_symbolic(self, x: Element, terms: Dict[Monomial, LambdaPoly]) -> VermaVector:
+        w = _width(terms)
+        groups, _ = self._compile(x, w)
+        out: Dict[int, LambdaPoly] = {}
+        _apply(groups, ((pack_monomial(m, w), c) for m, c in terms.items()), w, out, ZERO)
+        return VermaVector({unpack_monomial(t, w): c for t, c in out.items()})
 
     def act_basis(self, label: Label, m: Monomial) -> VermaVector:
         """Action of a basis element on a single ordered monomial."""
-        out: Dict[Monomial, LambdaPoly] = {}
-        self._act_into(out, self._memo[label], m, ONE)
-        return VermaVector(out)
+        return self._act_symbolic({label: Fraction(1)}, {tuple(m): ONE})
 
     def act(self, x: Element, v: VermaVector, lam: Optional[Fraction] = None) -> VermaVector:
         """Exact module action of a so(7) element.
@@ -289,28 +309,51 @@ class VermaModule:
         With ``lam`` the result is the action at that parameter value, equal to
         ``act(x, v).evaluate_lambda(lam)``.  It is computed over the integers:
         the values of ``v`` at ``lam`` are scaled by their common denominator,
-        and the character values, the 1/2 and the coefficients of ``x`` by
-        that of ``_integer_action``; the sums are Python ``int``s, divided by
-        the product of the two denominators once per result monomial.
+        and the moves of ``x`` by that of ``_compile``; the sums are Python
+        ``int``s, divided by the product of the two denominators once per
+        result monomial.
         """
         if lam is None:
-            out: Dict[Monomial, Scalar] = {}
-            for l, c in x.items():
-                if c == 0:
-                    continue
-                table = self._memo[l]
-                for m, coeff in v.terms.items():
-                    self._act_into(out, table, m, coeff * c)
-            return VermaVector(out)
-        values = [(m, c(lam)) for m, c in v.terms.items()]
-        dv = math.lcm(*(q.denominator for _, q in values))
-        action, den = self._integer_action(x, lam)
-        sums: Dict[Monomial, int] = {}
-        for table, k in action:
-            for m, q in values:
-                self._act_into(sums, table, m, q.numerator * (dv // q.denominator) * k)
+            return self._act_symbolic(x, v.terms)
+        parts, dv, w = self._integer_terms(v, lam)
+        groups, den = self._compile(x, w, lam)
+        sums: Dict[int, int] = {}
+        for codes, values in parts.values():
+            _apply(groups, zip(codes, values), w, sums, 0)
         den *= dv
-        return VermaVector({m: Fraction(n, den) for m, n in sums.items()})
+        return VermaVector({unpack_monomial(t, w): Fraction(n, den) for t, n in sums.items()})
+
+    def annihilates(self, elements: Sequence[Element], v: VermaVector, lam: Fraction) -> List[bool]:
+        """Whether each element kills ``v`` at ``lam``.
+
+        The integer sums of the action are tested for zero directly, with no
+        vector built; ``v`` is packed once, and elements that are equal are
+        acted with once.  An element can mix grades, so its moves change the
+        degree by different amounts; the image is summed one degree at a
+        time, which holds the sums of one degree only.
+        """
+        parts, _, w = self._integer_terms(v, lam)
+        verdicts: Dict[frozenset, bool] = {}
+        out = []
+        for x in elements:
+            key = frozenset((l, c) for l, c in x.items() if c)
+            if key not in verdicts:
+                moves, _ = self._integer_moves(key, lam)
+                by_shift: Dict[int, Dict[Move, int]] = {}
+                for move, a in moves.items():
+                    by_shift.setdefault(sum(move[2]), {})[move] = a
+                groups = {shift: _group(part, w) for shift, part in by_shift.items()}
+                verdicts[key] = True
+                for degree in sorted({d + shift for d in parts for shift in groups}):
+                    sums: Dict[int, int] = {}
+                    for d, (codes, values) in parts.items():
+                        if degree - d in groups:
+                            _apply(groups[degree - d], zip(codes, values), w, sums, 0)
+                    if any(sums.values()):
+                        verdicts[key] = False
+                        break
+            out.append(verdicts[key])
+        return out
 
     # -- weights -----------------------------------------------------------
 
@@ -373,24 +416,25 @@ class VermaModule:
             key = (m[0] - m[3], m[4] - m[1])
             blocks.setdefault(key, []).append(m)
 
-        actions = [self._integer_action(ann, lam0) for ann in annihilators]
+        w = _width(monos)
+        actions = [self._compile(ann, w, lam0) for ann in annihilators]
         vectors: List[VermaVector] = []
         for key in sorted(blocks):
             block = blocks[key]
-            rows: Dict[Tuple[int, Monomial], List[Fraction]] = {}
+            rows: Dict[Tuple[int, int], List[Fraction]] = {}
             for col, m in enumerate(block):
-                for ai, (action, den) in enumerate(actions):
-                    image: Dict[Monomial, int] = {}
-                    for table, k in action:
-                        self._act_into(image, table, m, k)
-                    for tm, val in image.items():
+                code = pack_monomial(m, w)
+                for ai, (groups, den) in enumerate(actions):
+                    image: Dict[int, int] = {}
+                    _apply(groups, ((code, 1),), w, image, 0)
+                    for t, val in image.items():
                         if val == 0:
                             continue
                         row = rows.setdefault(
-                            (ai, tm), [Fraction(0)] * len(block)
+                            (ai, t), [Fraction(0)] * len(block)
                         )
                         row[col] += Fraction(val, den)
-            matrix = [rows[k] for k in sorted(rows)]
+            matrix = [rows[k] for k in sorted(rows, key=lambda k: (k[0], unpack_monomial(k[1], w)))]
             if not matrix:
                 kernel = [
                     [Fraction(1) if i == j else Fraction(0) for j in range(len(block))]
@@ -430,10 +474,55 @@ def _first_root_grading(so7: StructureTable) -> Dict[Label, int]:
     return {l: int(g) for l, g in grade.items()}
 
 
-def _shifted(m: Monomial, i: int, step: int) -> Monomial:
-    return m[:i] + (m[i] + step,) + m[i + 1:]
+def _delta(plus: Optional[int] = None, *minus: int) -> Monomial:
+    """The exponent change  e_plus - sum(e_minus)  (no plus term for None)."""
+    d = [0] * NVARS
+    if plus is not None:
+        d[plus] += 1
+    for k in minus:
+        d[k] -= 1
+    return tuple(d)
 
 
-def _add_term(out: Dict[Monomial, Scalar], m: Monomial, c: Scalar) -> None:
-    prev = out.get(m)
-    out[m] = c if prev is None else prev + c
+def _width(monomials) -> int:
+    """Field width for packing ``monomials`` and the results of one action
+    on them: no move raises an exponent by more than one."""
+    top = max((e for m in monomials for e in m), default=0)
+    return (top + 1).bit_length()
+
+
+def _group(coeffs: Dict[Move, Scalar], w: int) -> List[Group]:
+    """Moves grouped by their derivative positions, deltas packed to offsets."""
+    groups: Dict[Tuple[int, int], List[Tuple[int, Scalar]]] = {}
+    for (i, j, delta), a in coeffs.items():
+        groups.setdefault((i, j), []).append((pack_monomial(delta, w), a))
+    return [(i, j, tuple(moves)) for (i, j), moves in groups.items()]
+
+
+def _apply(groups: List[Group], terms, w: int, out: Dict[int, Scalar], zero: Scalar) -> None:
+    """Add the compiled action on the packed (code, coefficient) ``terms``
+    into ``out``: one multiply-add per move and term.
+
+    A group (i, j, moves) scales its moves by 1 (i = j = -1), by m_i
+    (j = -1), or by m_i (m - e_i)_j, the second derivative d_i d_j.  The
+    coefficients, the terms' and ``zero`` share one ring: ``LambdaPoly`` or
+    ``int``.
+    """
+    mask = (1 << w) - 1
+    shifts = [k * w for k in range(NVARS - 1, -1, -1)]
+    get = out.get
+    for code, c in terms:
+        e = [(code >> s) & mask for s in shifts]
+        for i, j, moves in groups:
+            if i < 0:
+                k = c
+            else:
+                k = e[i]
+                if j >= 0:
+                    k *= e[j] - (i == j)
+                if not k:
+                    continue
+                k = c if k == 1 else c * k
+            for off, a in moves:
+                t = code + off
+                out[t] = get(t, zero) + k * a

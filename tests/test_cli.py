@@ -275,3 +275,19 @@ def test_bad_input_exits_one_with_empty_stdout():
         assert proc.stdout == "", argv
         assert len(proc.stderr.strip().splitlines()) == 1, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular", "--homogeneity", "abc"],               # not an int
+    ["oracle", "--degree", "2"],                         # --lambda missing
+    ["oracle", "--degree", "2", "--lambda=1/2", "--format", "xml"],   # unknown choice
+])
+def test_usage_error_exits_64_with_one_stderr_line(argv):
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-m", "g2fmethod", *argv], capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_USAGE == 64, (argv, proc.returncode)
+    assert proc.stdout == "", argv
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "error:" in lines[0], (argv, proc.stderr)

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from g2fmethod.polynomials import (
     XiPolynomial,
+    pack_monomial,
     parse_xi_polynomial,
-    poly_arith,
+    term_sort_key,
+    unpack_monomial,
 )
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 
@@ -20,17 +22,18 @@ x5 = XiPolynomial.variable(5)
 
 def test_additive_identity():
     p = x1 * x4 + x2 * x5
-    assert poly_arith(p, XiPolynomial.zero(), "add") == p
+    assert p + XiPolynomial.zero() == p
+    assert p - XiPolynomial.zero() == p
 
 
 def test_monomial_product():
-    assert poly_arith(x3, x3, "mul") == XiPolynomial.monomial((0, 0, 2, 0, 0))
+    assert x3 * x3 == XiPolynomial.monomial((0, 0, 2, 0, 0))
 
 
 def test_quadratic_square_expansion():
     # (4(x1 x4 + x3... ) ...)^2 expanded by hand: six terms
     q = (x1 * x4 + x2 * x5) * 4 + x3 * x3
-    sq = poly_arith(q, q, "mul")
+    sq = q * q
     expected = {
         (2, 0, 0, 2, 0): 16,
         (1, 1, 0, 1, 1): 32,
@@ -161,3 +164,15 @@ def test_power_matches_repeated_product_on_random_polynomials():
 def test_power_of_the_laplace_dual_form():
     q = (x1 * x4 + x2 * x5) * 4 + x3 * x3
     assert q ** 12 == repeated_product(q, 12)
+
+
+def test_packed_monomials_round_trip_and_sort_like_term_order():
+    rng = random.Random(3)
+    monos = [tuple(rng.randint(0, 9) for _ in range(5)) for _ in range(300)]
+    for w in (4, 7):
+        assert all(unpack_monomial(pack_monomial(m, w), w) == m for m in monos)
+        assert sorted(monos, key=lambda m: pack_monomial(m, w)) == sorted(monos, key=term_sort_key)
+        # an exponent change packs to the offset that moves the code
+        m, delta = (3, 0, 2, 5, 1), (-1, 1, 0, -2, 1)
+        moved = tuple(a + b for a, b in zip(m, delta))
+        assert pack_monomial(m, w) + pack_monomial(delta, w) == pack_monomial(moved, w)

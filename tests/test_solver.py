@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -21,16 +23,18 @@ from g2fmethod.solver import (
     invariant_monomial_basis,
     invariants_of_degree,
     nonstandard_verdict,
+    borel_annihilators,
     oracle_matches_certificate,
     pprime_annihilators,
     pprime_full_annihilators,
+    run_certificate_checks,
     solve_even,
     solve_odd,
     symbolic_g2_difference,
     symbolic_so7_difference,
     verify_so7_singular,
 )
-from g2fmethod.verma import parse_verma
+from g2fmethod.verma import VermaVector, parse_verma
 
 F = Fraction
 
@@ -338,3 +342,101 @@ def test_solve_even_homogeneity_80_checks(ctx):
     assert set(bools) == {"p_prime_singular", "so7_singular", "weight_matches_reflection_law",
                           "nonstandard_so7", "nonstandard_g2"}
     assert all(bools.values()), bools
+
+
+# -- the streamed collection against the earlier one -----------------------------
+
+
+def _reference_collect(ctx, basis):
+    """The collection as computed before it was streamed: every image over
+    ``LambdaPoly`` through ``op_apply``, all rows held, each keyed by its
+    entries divided by the leading coefficient of its first entry."""
+    sparse = {}
+    for j, p in enumerate(basis):
+        for m, c in op_apply(ctx.lowering_op, p).terms.items():
+            sparse.setdefault(m, {})[j] = c
+    seen = set()
+    matrix, monomials = [], []
+    for m in sorted(sparse, key=term_sort_key, reverse=True):
+        row = sparse[m]
+        lead = next(iter(row.values())).leading()
+        key = tuple((j, tuple(x / lead for x in c.coeffs)) for j, c in row.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        matrix.append([row.get(j, LambdaPoly()) for j in range(len(basis))])
+        monomials.append(m)
+    return matrix, monomials
+
+
+def test_streamed_collection_matches_reference(ctx):
+    degrees = [2 * N for N in range(1, 13)] + [2 * N + 1 for N in range(0, 11)]
+    for d in degrees:
+        basis = invariant_monomial_basis(d)
+        assert _collect_system(ctx, basis) == _reference_collect(ctx, basis), d
+
+
+def test_streamed_collection_matches_reference_on_parameter_coefficients(ctx):
+    # degree-2 parameter coefficients with denominators, overlapping supports,
+    # and a multiple of an earlier element, so rows cancel and repeat
+    rng = random.Random(5)
+    for _ in range(12):
+        basis = []
+        for _ in range(rng.randint(2, 5)):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                d = rng.randint(0, 6)
+                cuts = sorted(rng.randint(0, d) for _ in range(4))
+                m = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+                terms[m] = LambdaPoly([F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+                                       for _ in range(3)])
+            basis.append(XiPolynomial(terms))
+        basis.append(basis[0] * F(-3, 7) + basis[-1] * LAMBDA)
+        identity = SimpleNamespace(lowering_op=DiffOperator.constant(1))
+        assert _collect_system(ctx, basis) == _reference_collect(ctx, basis)
+        assert _collect_system(identity, basis) == _reference_collect(identity, basis)
+
+
+def test_streamed_collection_peak_memory_at_homogeneity_120(ctx):
+    basis = invariant_monomial_basis(120)
+    ctx.lowering_moves                      # compiled once per context, not per call
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        matrix, _ = _collect_system(ctx, basis)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(matrix) == 120
+    assert peak <= 1.5e6, peak
+
+
+# -- perturbed certificates fail the deduplicated checks --------------------------
+
+
+def test_perturbed_certificates_fail_the_annihilator_checks(ctx):
+    import dataclasses
+
+    cert = solve_even(ctx, 6, verify=True)
+    assert cert.checks["p_prime_singular"] and cert.checks["so7_singular"]
+    terms = dict(cert.verma_vector.terms)
+    m = next(iter(terms))
+    terms[m] = terms[m] + 1
+    variants = [
+        dataclasses.replace(cert, verma_vector=VermaVector(terms), checks={}),
+        dataclasses.replace(cert, lam=cert.lam + 1, checks={}),
+    ]
+    for bad in variants:
+        run_certificate_checks(ctx, bad)
+        assert bad.checks["p_prime_singular"] is False
+        assert bad.checks["so7_singular"] is False
+        assert verify_so7_singular(ctx, bad) is False
+        # each verdict is the one an action with that element alone gives
+        elements = (pprime_annihilators(ctx.emb) + pprime_full_annihilators(ctx.emb)
+                    + borel_annihilators(ctx.emb))
+        assert len(elements) == 13
+        assert len({frozenset(x.items()) for x in elements}) == 9
+        alone = [ctx.module.act(x, bad.verma_vector, lam=bad.lam).is_zero() for x in elements]
+        assert ctx.module.annihilates(elements, bad.verma_vector, bad.lam) == alone
+        assert not all(alone)
+

@@ -1,14 +1,14 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
-
-import dataclasses
 
 import pytest
 
 from g2fmethod.polynomials import NVARS
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 from g2fmethod.solver import pprime_annihilators
-from g2fmethod.verma import COORD_LABELS, VermaModule, VermaVector, parse_verma
+from g2fmethod.verma import COORD_LABELS, VermaModule, VermaVector, _first_root_grading, parse_verma
 
 F = Fraction
 
@@ -238,3 +238,175 @@ def test_verma_grammar_roundtrip(module):
 def test_verma_grammar_requires_cyclic_vector():
     with pytest.raises(ValueError):
         parse_verma("g_-1")
+
+
+# -- the compiled action against the earlier tuple-based one -----------------
+
+
+class ReferenceAction:
+    """The action as computed before monomials were packed: per-label tables
+    (grade, character part, bracket part), applied by building the shifted
+    exponent tuples term by term; at a parameter value the tables are scaled
+    to integers.  Kept here as the reference for the compiled moves."""
+
+    HALF = F(1, 2)
+
+    def __init__(self, module, so7):
+        self.module = module
+        grade = _first_root_grading(so7)
+        self.memo = {l: self.action_table(l, grade[l]) for l in so7.labels}
+
+    def action_table(self, label, g):
+        mod = self.module
+        if g == -1:
+            return g, mod.coord_index[label], None
+        x = {label: F(1)}
+        ys = [{l: F(1)} for l in COORD_LABELS]
+        first = [mod.so7.bracket(x, y) for y in ys]
+        if g == 0:
+            return g, mod._chi(x), tuple(mod._y_coords(b) for b in first)
+        second = tuple(
+            tuple(
+                tuple((k, self.HALF * c) for k, c in mod._y_coords(mod.so7.bracket(b, y)))
+                for y in ys
+            )
+            for b in first
+        )
+        return g, tuple(mod._chi(b) for b in first), second
+
+    def integer_table(self, label, lam):
+        table = self.memo[label]
+        g, chi, brackets = table
+        if g == -1:
+            return table, 1
+        chis = [c(lam) for c in ((chi,) if g == 0 else chi)]
+        cells = brackets if g == 0 else [cell for row in brackets for cell in row]
+        den = math.lcm(*(q.denominator for q in chis),
+                       *(c.denominator for cell in cells for _, c in cell))
+
+        def up(q):
+            return q.numerator * (den // q.denominator)
+
+        def up_cell(cell):
+            return tuple((k, up(c)) for k, c in cell)
+
+        if g == 0:
+            return (g, up(chis[0]), tuple(up_cell(cell) for cell in brackets)), den
+        return (g, tuple(up(q) for q in chis),
+                tuple(tuple(up_cell(cell) for cell in row) for row in brackets)), den
+
+    def integer_action(self, x, lam):
+        scaled = []
+        for l, c in x.items():
+            if c:
+                table, den = self.integer_table(l, lam)
+                scaled.append((table, F(c), den))
+        common = math.lcm(*(c.denominator * den for _, c, den in scaled))
+        return [
+            (table, c.numerator * (common // (c.denominator * den)))
+            for table, c, den in scaled
+        ], common
+
+    @staticmethod
+    def act_into(out, table, m, coeff):
+        def shifted(m, i, step):
+            return m[:i] + (m[i] + step,) + m[i + 1:]
+
+        def add_term(m, c):
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+
+        g, chi, brackets = table
+        if g == -1:
+            add_term(shifted(m, chi, 1), coeff)
+        elif g == 0:
+            if chi:
+                add_term(m, coeff * chi)
+            for i, mi in enumerate(m):
+                if mi:
+                    base = shifted(m, i, -1)
+                    for j, c in brackets[i]:
+                        add_term(shifted(base, j, 1), coeff * (mi * c))
+        else:
+            for i, mi in enumerate(m):
+                if not mi:
+                    continue
+                mi_m = shifted(m, i, -1)
+                if chi[i]:
+                    add_term(mi_m, coeff * (chi[i] * mi))
+                for j, mj in enumerate(mi_m):
+                    if mj:
+                        base = shifted(mi_m, j, -1)
+                        for k, c in brackets[i][j]:
+                            add_term(shifted(base, k, 1), coeff * (mi * mj * c))
+
+    def act(self, x, v, lam=None):
+        if lam is None:
+            out = {}
+            for l, c in x.items():
+                if c == 0:
+                    continue
+                for m, coeff in v.terms.items():
+                    self.act_into(out, self.memo[l], m, coeff * c)
+            return VermaVector(out)
+        values = [(m, c(lam)) for m, c in v.terms.items()]
+        dv = math.lcm(*(q.denominator for _, q in values))
+        action, den = self.integer_action(x, lam)
+        sums = {}
+        for table, k in action:
+            for m, q in values:
+                self.act_into(sums, table, m, q.numerator * (dv // q.denominator) * k)
+        den *= dv
+        return VermaVector({m: F(n, den) for m, n in sums.items()})
+
+
+@pytest.fixture(scope="module")
+def reference(module, so7):
+    return ReferenceAction(module, so7)
+
+
+def test_compiled_action_matches_reference_on_every_label_and_small_monomial(module, so7, reference):
+    monomials = [m for d in range(5) for m in module.monomials_of_degree(d)]
+    for label in so7.labels:
+        for m in monomials:
+            expected = reference.act({label: F(1)}, VermaVector.monomial(m))
+            assert module.act_basis(label, m) == expected, (label, m)
+            assert module.act({label: F(1)}, VermaVector.monomial(m)) == expected, (label, m)
+
+
+def test_compiled_action_matches_reference_at_a_parameter_value(module, so7, reference):
+    rng = random.Random(8)
+    labels = so7.labels
+    for _ in range(200):
+        x = {rng.choice(labels): F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+             for _ in range(rng.randint(1, 4))}
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            d = rng.randint(0, 12)
+            cuts = sorted(rng.randint(0, d) for _ in range(NVARS - 1))
+            m = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+            terms[m] = LambdaPoly([F(rng.randint(-9, 9), rng.choice((1, 2, 3))),
+                                   F(rng.randint(-3, 3), rng.choice((1, 2)))])
+        v = VermaVector(terms)
+        lam = F(rng.randint(-15, 15), rng.choice((1, 2, 3, 4)))
+        assert module.act(x, v, lam=lam) == reference.act(x, v, lam=lam)
+        assert module.act(x, v) == reference.act(x, v)
+
+
+def test_compiled_action_widens_its_fields_past_exponent_4096(module, so7, reference):
+    v = VermaVector({(4097, 3, 0, 5000, 1): LambdaPoly([2, F(1, 3)]),
+                     (0, 9000, 4096, 0, 2): LambdaPoly.const(F(-5, 2))})
+    for label in so7.labels:
+        x = {label: F(1)}
+        assert module.act(x, v) == reference.act(x, v), label
+        assert module.act(x, v, lam=F(7, 2)) == reference.act(x, v, lam=F(7, 2)), label
+
+
+def test_annihilates_tells_apart_elements_on_the_same_labels(module):
+    # on y1 v at lambda = 1, h1 + h2 acts by zero and h1 + 2 h2 does not
+    v, lam = VermaVector.monomial((1, 0, 0, 0, 0)), F(1)
+    elements = [{"h1": F(1), "h2": F(1)}, {"h1": F(1), "h2": F(2)}, {"h2": F(1), "h1": F(1)},
+                {"h1": F(1), "h2": F(1), "h3": F(0)}]
+    alone = [module.act(x, v, lam=lam).is_zero() for x in elements]
+    assert alone == [True, False, True, True]
+    assert module.annihilates(elements, v, lam) == alone
