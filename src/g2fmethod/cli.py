@@ -625,6 +625,31 @@ def _add_common(p, formats=("text", "json")):
     p.add_argument("--out", help="write output to a file instead of stdout")
 
 
+# The largest request each size flag admits: the largest allowed request
+# finishes within a minute on one core (README, "CLI").
+CAPS = {
+    "algebra --n": 8,
+    "hilbert --max-degree": 40,
+    "singular --homogeneity": 600,
+    "singular --max-degree": 200,
+    "oracle --degree": 40,
+}
+
+
+def _capped(flag: str):
+    """An ``int`` argument type rejecting values above the cap of ``flag``."""
+    cap = CAPS[flag]
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"at most {cap} is allowed, got {value}")
+        return value
+
+    parse.__name__ = "int"          # argparse names the type in "invalid int value"
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line and exit code 64, keeping
     argparse's code 2 from reading as a failed verification."""
@@ -641,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="build so(2n+1) and run structural checks")
-    p.add_argument("--n", type=int, default=3, help="rank (defining size 2n+1)")
+    p.add_argument("--n", type=_capped("algebra --n"), default=3, help="rank (defining size 2n+1)")
     _add_common(p)
     p.set_defaults(func=cmd_algebra)
 
@@ -658,21 +683,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_parabolic)
 
     p = sub.add_parser("hilbert", help="invariant multiplicity table and series check")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_capped("hilbert --max-degree"), required=True)
     p.add_argument("--t", type=int, default=None, help="restrict to one highest weight")
     _add_common(p)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("singular", help="singular vector certificates")
-    p.add_argument("--homogeneity", type=int, default=None)
+    p.add_argument("--homogeneity", type=_capped("singular --homogeneity"), default=None)
     p.add_argument("--scan", action="store_true")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_capped("singular --max-degree"), default=None)
     p.add_argument("--show-operator", action="store_true")
     _add_common(p, formats=("text", "json", "latex"))
     p.set_defaults(func=cmd_singular)
 
     p = sub.add_parser("oracle", help="module kernel search at a fixed parameter")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_capped("oracle --degree"), required=True)
     p.add_argument("--lambda", required=True, help="rational parameter value p/q")
     p.add_argument(
         "--annihilators", choices=["pprime", "borel"], default="pprime"

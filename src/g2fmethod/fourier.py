@@ -27,11 +27,13 @@ GR_WEIGHTS: Tuple[int, ...] = (-1, -3, -2, -3, -1)
 
 
 def xi_from_verma(v: VermaVector) -> XiPolynomial:
-    return XiPolynomial(v.terms)
+    """The same terms as a polynomial, sharing the vector's term dict."""
+    return XiPolynomial._of_terms(v.terms)
 
 
 def verma_from_xi(p: XiPolynomial) -> VermaVector:
-    return VermaVector(p.terms)
+    """The same terms as a module vector, sharing the polynomial's term dict."""
+    return VermaVector._of_terms(p.terms)
 
 
 def fourier_act(module: VermaModule, x: Element, p: XiPolynomial) -> XiPolynomial:

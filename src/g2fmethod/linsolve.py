@@ -5,20 +5,25 @@ Two layers:
 * sparse Gauss-Jordan elimination over ``Fraction`` (rref, rank, kernel
   bases) used everywhere a subspace question comes up;
 * fraction-free (Bareiss) elimination over the polynomial ring in the formal
-  parameter, on sparse rows scaled lazily, used to locate every rational
-  parameter value at which a matrix drops rank.  Candidates come from the
-  rational roots of the pivot determinant; each candidate is then confirmed
-  with an exact kernel computation at that value.
+  parameter, used to locate every rational parameter value at which a
+  matrix drops rank.  It runs on integer layers: each row is scaled once to
+  integer coefficients (its row scale), the sparse rows are scaled lazily,
+  and every update and exact division is on Python ``int``s; the pivot
+  determinant is recovered exactly by dividing out the pivot rows' scales.
+  Candidates come from the rational roots of the pivot determinant; each
+  candidate is then confirmed with an exact kernel computation at that
+  value.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import LambdaPoly, poly_gcd
+from .scalars import IntPoly, LambdaPoly, integer_layers, layers_exact_div, layers_mul_sub, poly_gcd
 
 Row = List[Fraction]
 Matrix = List[Row]
@@ -198,21 +203,35 @@ def _bareiss_rank(M: PMatrix) -> Tuple[int, LambdaPoly, List[int]]:
     that of the square submatrix on the pivot rows/columns; the rank can drop
     at a parameter value only where this polynomial vanishes.
 
+    The elimination runs on integer layers: each input row is scaled once by
+    the lcm of its entries' denominators, and every entry becomes a list of
+    ``int`` coefficients of the powers of the parameter.  Every intermediate
+    entry is then a minor of the scaled matrix, a polynomial over the
+    integers, so the updates and the exact divisions by the previous pivot
+    run on Python ``int``s with no rational arithmetic
+    (``layers_exact_div`` raises ``ArithmeticError`` on a remainder).  A
+    minor of the scaled matrix is the minor of the input times the scales of
+    its rows, so the pivot determinant is recovered exactly by dividing by
+    the product of the pivot rows' scales.
+
     Rows are dicts of their nonzero entries, and a row is updated only when
     its pivot-column entry is nonzero.  Bareiss would multiply any other row
     by p_k / p_(k-1) at step k; those factors telescope, so the row instead
     keeps the pivot value ``stamp`` of its last update, and its true entries
     are  stored * prev / stamp  (an exact division, done when the row is next
     touched).  Degrees need no division,  deg(e) + deg(prev) - deg(stamp),
-    so the pivot choice (least degree, first row on a tie) and with it the
-    rank, the determinant and the pivot rows are those of the dense
-    elimination, value for value.
+    and no scale changes a degree, so the pivot choice (least degree, first
+    row on a tie) and with it the rank, the determinant and the pivot rows
+    are those of the dense elimination, value for value.
     """
     if not M:
         return 0, LambdaPoly.const(1), []
     cols = len(M[0])
-    prev = LambdaPoly.const(1)
-    A = [({j: e for j, e in enumerate(row) if e}, prev) for row in M]   # (entries, stamp)
+    prev: IntPoly = [1]
+    A = []                                  # (entries, row scale, stamp)
+    for row in M:
+        layers, scale = integer_layers(row)
+        A.append(({j: e for j, e in enumerate(layers) if e}, scale, prev))
     rows = len(A)
     pivot_rows: List[int] = []
     r = 0
@@ -221,12 +240,12 @@ def _bareiss_rank(M: PMatrix) -> Tuple[int, LambdaPoly, List[int]]:
             break
         pivot = None
         best = None
-        shift = prev.degree
+        shift = len(prev)
         for i in range(r, rows):
-            entries, stamp = A[i]
+            entries, _, stamp = A[i]
             e = entries.get(c)
             if e is not None:
-                d = e.degree + shift - stamp.degree
+                d = len(e) + shift - len(stamp)
                 if best is None or d < best:
                     pivot, best = i, d
         if pivot is None:
@@ -239,30 +258,25 @@ def _bareiss_rank(M: PMatrix) -> Tuple[int, LambdaPoly, List[int]]:
                 continue
             row = _true_entries(A[i], prev)
             f = row.pop(c)
-            new: Dict[int, LambdaPoly] = {}
+            new: Dict[int, IntPoly] = {}
             for j in row.keys() | top.keys():
-                e, t = row.get(j), top.get(j)
-                if t is None:
-                    num = p * e
-                elif e is None:
-                    num = -(f * t)
-                else:
-                    num = p * e - f * t
+                num = layers_mul_sub(p, row.get(j), f, top.get(j))
                 if num:
-                    new[j] = num.exact_div(prev)
-            A[i] = (new, p)
+                    new[j] = layers_exact_div(num, prev)
+            A[i] = (new, A[i][1], p)
         prev = p
         pivot_rows.append(r)
         r += 1
-    return r, prev, pivot_rows
+    den = math.prod(scale for _, scale, _ in A[:r])
+    return r, LambdaPoly._of_layers(prev, den), pivot_rows
 
 
-def _true_entries(row: Tuple[Dict[int, LambdaPoly], LambdaPoly], prev: LambdaPoly) -> Dict[int, LambdaPoly]:
+def _true_entries(row: Tuple[Dict[int, IntPoly], int, IntPoly], prev: IntPoly) -> Dict[int, IntPoly]:
     """A lazily scaled row's entries at the current step, as a fresh dict."""
-    entries, stamp = row
-    if stamp == prev:
+    entries, _, stamp = row
+    if stamp is prev or stamp == prev:
         return dict(entries)
-    return {j: (e * prev).exact_div(stamp) for j, e in entries.items()}
+    return {j: layers_exact_div(layers_mul_sub(e, prev), stamp) for j, e in entries.items()}
 
 
 def param_solve(M: PMatrix, extra_minor_budget: int = 64) -> ParamSolveResult:

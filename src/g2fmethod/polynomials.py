@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from .scalars import ZERO, LambdaPoly, Scalar
+from .scalars import ZERO, LambdaPoly, Scalar, integer_layers, pack_layers, unpack_layers
 
 NVARS = 5
 
@@ -178,6 +178,17 @@ class XiPolynomial:
         power; the powers of ``rest`` are built one multiplication at a time.
         For a polynomial of a few terms this is O(n^2) term products, not the
         O(n^3) of multiplying by one factor at a time.
+
+        The expansion runs on integer layers under one common denominator
+        ``den``: each coefficient times ``den`` is a polynomial over the
+        integers, packed into one ``int`` by ``pack_layers``, with fields wide
+        enough for every coefficient that can arise (at most S^n, S the sum
+        of the absolute values of all layers), so sums and products of packed
+        ints are those of the polynomials.  Each sum is accumulated in place,
+        and equal sums are held as one ``int`` object; only at the end is
+        each distinct sum unpacked and divided by den^n, once, and written
+        into the same dict, so equal coefficients of the result are one
+        shared ``LambdaPoly``.
         """
         if n < 0:
             raise ValueError("negative power")
@@ -185,22 +196,33 @@ class XiPolynomial:
             return XiPolynomial.constant(1)
         if not self.terms:
             return XiPolynomial.zero()
-        items = iter(self.terms.items())
-        lead_m, lead_c = next(items)
-        rest = XiPolynomial(dict(items))
-        lead_pows = [LambdaPoly.const(1)]
-        for _ in range(n):
-            lead_pows.append(lead_pows[-1] * lead_c)
-        out: Dict[Monomial, LambdaPoly] = {}
-        rest_k = XiPolynomial.constant(1)
+        layers, den = integer_layers(self.terms.values())
+        width = (sum(abs(a) for c in layers for a in c) ** n).bit_length() + 1
+        (lead_m, *rest_ms), (lead_c, *rest_cs) = self.terms, [pack_layers(c, width) for c in layers]
+        rest = list(zip(rest_ms, rest_cs))
+        out: Dict[Monomial, int] = {}
+        values: Dict[int, object] = {}      # one object per distinct sum
+        rest_k: Dict[Monomial, int] = {ZERO_MONO: 1}
         for k in range(n + 1):
             if k:
-                rest_k = rest_k * rest
+                step: Dict[Monomial, int] = {}
+                for m, v in rest_k.items():
+                    for mr, vr in rest:
+                        t = mono_mul(m, mr)
+                        step[t] = step.get(t, 0) + v * vr
+                rest_k = step
             shift = tuple(e * (n - k) for e in lead_m)
-            c = lead_pows[n - k] * math.comb(n, k)
-            for m, v in rest_k.terms.items():
+            c = lead_c ** (n - k) * math.comb(n, k)
+            for m, v in rest_k.items():
                 t = mono_mul(shift, m)
-                out[t] = out.get(t, ZERO) + c * v
+                v = out.get(t, 0) + c * v
+                out[t] = values.setdefault(v, v)
+        del rest_k
+        den **= n
+        for v in values:
+            values[v] = LambdaPoly._of_layers(unpack_layers(v, width), den)
+        for m, v in out.items():
+            out[m] = values[v]
         return XiPolynomial._of_terms(out)
 
     def scale(self, c: Scalar) -> "XiPolynomial":

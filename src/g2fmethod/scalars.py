@@ -5,6 +5,11 @@ Rationals are ``fractions.Fraction`` (always lowest terms, positive
 denominator).  The formal parameter is printed as ``L`` in the text grammar;
 polynomials in it are the coefficient ring of every symbolic computation in
 the engine, so no floating point appears anywhere.
+
+Hot loops work on integer layers instead: a polynomial times a common
+denominator, as the list of its ``int`` coefficients (``integer_layers``),
+multiplied and divided exactly over the integers (``layers_mul_sub``,
+``layers_exact_div``) or packed into one ``int`` (``pack_layers``).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 Rational = Fraction
 
@@ -59,6 +64,13 @@ class LambdaPoly:
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", tuple(cs))
         return p
+
+    @classmethod
+    def _of_layers(cls, layers: "IntPoly", den: int) -> "LambdaPoly":
+        """The polynomial  (sum_i layers[i] L^i) / den  of integer layers."""
+        if den == 1:            # Fraction(a) keeps the int object itself
+            return cls._of_fractions([Fraction(a) for a in layers])
+        return cls._of_fractions([Fraction(a, den) for a in layers])
 
     # -- constructors -------------------------------------------------
 
@@ -188,13 +200,6 @@ class LambdaPoly:
             rem.pop()
         return LambdaPoly(q), LambdaPoly(rem)
 
-    def exact_div(self, other: "LambdaPoly") -> "LambdaPoly":
-        """Division known to be exact; raises if a remainder survives."""
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ArithmeticError(f"inexact division: {self} by {other}")
-        return q
-
     def __call__(self, x: Union[int, Fraction]) -> Fraction:
         """Evaluate at an exact rational point (Horner)."""
         if len(self.coeffs) <= 1:
@@ -288,6 +293,94 @@ class LambdaPoly:
 LAMBDA = LambdaPoly.gen()
 ZERO = LambdaPoly()
 ONE = LambdaPoly([1])
+
+
+# ---------------------------------------------------------------------------
+# integer layers: polynomials over the integers as coefficient lists
+# ---------------------------------------------------------------------------
+
+IntPoly = List[int]     # coefficients of the powers of the parameter, no trailing zero
+
+
+def integer_layers(polys: Iterable[LambdaPoly]) -> Tuple[List[IntPoly], int]:
+    """The polynomials times the lcm of their coefficients' denominators, as
+    integer layers, and that lcm."""
+    polys = list(polys)
+    den = math.lcm(*(q.denominator for p in polys for q in p.coeffs))
+    return [[q.numerator * (den // q.denominator) for q in p.coeffs] for p in polys], den
+
+
+def pack_layers(layers: IntPoly, width: int) -> int:
+    """The value at 2^width (Kronecker substitution): integer layers in one
+    ``int``, which ``unpack_layers`` inverts while every coefficient is below
+    2^(width-1) in absolute value.  A constant packs to itself."""
+    return sum(a << (width * i) for i, a in enumerate(layers))
+
+
+def unpack_layers(v: int, width: int) -> IntPoly:
+    """Inverse of ``pack_layers``: the balanced base-2^width digits of v."""
+    half = 1 << (width - 1)
+    if -half < v < half:
+        return [v] if v else []     # a constant, the same int object
+    out = []
+    mask = (1 << width) - 1
+    while v:
+        r = v & mask
+        if r >= half:
+            r -= mask + 1
+        out.append(r)
+        v = (v - r) >> width
+    return out
+
+
+def layers_mul_sub(p: IntPoly, e: Optional[IntPoly], f: IntPoly = (), t: Optional[IntPoly] = None) -> IntPoly:
+    """p*e - f*t over the integers, a missing ``e`` or ``t`` read as zero."""
+    out = [0] * max(len(p) + len(e) - 1 if e else 0, len(f) + len(t) - 1 if t else 0)
+    if e:
+        for i, a in enumerate(p):
+            if a:
+                for k, b in enumerate(e, i):
+                    out[k] += a * b
+    if t:
+        for i, a in enumerate(f):
+            if a:
+                for k, b in enumerate(t, i):
+                    out[k] -= a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def layers_exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The quotient a / b in the polynomial ring over the integers.
+
+    Long division from the top; every quotient coefficient must be an
+    integer and the remainder zero, or ``ArithmeticError`` is raised.
+    """
+    db = len(b) - 1
+    lead = b[-1]
+    if not db:              # a constant divisor, as every pivot of the even system is
+        q = []
+        for c in a:
+            f, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError(f"inexact division: {a} by {b}")
+            q.append(f)
+        return q
+    rem = list(a)
+    q = [0] * max(len(rem) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + db]
+        if c:
+            f, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError(f"inexact division: {a} by {b}")
+            q[k] = f
+            for i in range(db):
+                rem[k + i] -= f * b[i]
+    if any(rem[:min(db, len(rem))]):
+        raise ArithmeticError(f"inexact division: {a} by {b}")
+    return q
 
 
 def poly_gcd(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:

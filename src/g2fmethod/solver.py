@@ -38,7 +38,7 @@ from .liealg import (
 from .linsolve import kernel_basis, param_solve, rank
 from .operators import DiffOperator, op_apply
 from .polynomials import NVARS, Monomial, XiPolynomial, pack_monomial, unpack_monomial
-from .scalars import LAMBDA, ZERO, LambdaPoly, rational_to_string
+from .scalars import LAMBDA, ZERO, LambdaPoly, integer_layers, rational_to_string
 from .verma import VermaModule, VermaVector
 
 I1 = XiPolynomial({(1, 0, 0, 1, 0): LambdaPoly.const(1), (0, 1, 0, 0, 1): LambdaPoly.const(1)})
@@ -92,12 +92,23 @@ def invariant_monomial_basis(d: int) -> List[XiPolynomial]:
 
     Each element is written down by the binomial expansion
     I1^k = sum_i C(k, i) (x1 x4)^i (x2 x5)^(k-i),  with no multiplication.
+    Equal binomial coefficients (C(k, i) = C(k, k-i), among others) are one
+    shared ``LambdaPoly``.
     """
+    shared: Dict[int, LambdaPoly] = {}
     return [
-        XiPolynomial({(i, k - i, d - 2 * k, i, k - i): LambdaPoly.const(math.comb(k, i))
-                      for i in range(k + 1)})
+        XiPolynomial._of_terms({(i, k - i, d - 2 * k, i, k - i): _shared_const(shared, math.comb(k, i))
+                                for i in range(k + 1)})
         for k in range(d // 2 + 1)
     ]
+
+
+def _shared_const(shared: Dict[Fraction, LambdaPoly], value: Fraction) -> LambdaPoly:
+    """The constant ``value``, one object per value held in ``shared``."""
+    c = shared.get(value)
+    if c is None:
+        c = shared[value] = LambdaPoly.const(value)
+    return c
 
 
 @dataclass
@@ -307,12 +318,12 @@ def _compile_operator(D: DiffOperator) -> Tuple[List[OperatorMove], int]:
     coefficients of the powers of the parameter in c, times the least
     common denominator ``den`` of all of them, one ``int`` per power.
     """
-    den = math.lcm(*(q.denominator for c in D.terms.values() for q in c.coeffs))
+    layers, den = integer_layers(D.terms.values())
     moves = []
-    for (xm, dm), c in D.terms.items():
+    for (xm, dm), c in zip(D.terms, layers):
         orders = tuple((i, k) for i, k in enumerate(dm) if k)
         delta = tuple(x - d for x, d in zip(xm, dm))
-        moves.append((orders, delta, tuple(q.numerator * (den // q.denominator) for q in c.coeffs)))
+        moves.append((orders, delta, tuple(c)))
     return moves, den
 
 
@@ -420,7 +431,7 @@ def _collect_system(ctx: SolverContext, basis: Sequence[XiPolynomial]):
         seen.add(key)
         dense = [ZERO] * width
         for j, acc in entries:
-            dense[j] = LambdaPoly._of_fractions([Fraction(a, den) for a in acc])
+            dense[j] = LambdaPoly._of_layers(acc, den)
         matrix.append(dense)
         monomials.append(unpack_monomial(t, w))
     return matrix, monomials
@@ -452,18 +463,22 @@ def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[Sing
     if a0 == 0:
         return None
     coefficients = [c / a0 for c in vec]
-    # the basis is consumed as the sum is built, so the two are not held at once
+    # the basis is consumed as the sum is built, so the two are not held at once;
+    # its elements have disjoint supports (distinct x3 powers), so each term is
+    # one constant product, and equal products are one shared LambdaPoly
     terms: Dict[Monomial, LambdaPoly] = {}
+    shared: Dict[Fraction, LambdaPoly] = {}
     for a in coefficients:
         for m, c in basis.pop(0).terms.items():
-            terms[m] = terms.get(m, ZERO) + c * a
+            terms[m] = _shared_const(shared, c.constant_value() * a)
     poly = XiPolynomial._of_terms(terms)
     cert = SingularCertificate(
         homogeneity_half=N,
         lam=lam,
         coefficients=coefficients,
         xi_polynomial=poly,
-        # the basis and the A_s are rational, so the polynomial is its own value at lam
+        # the basis and the A_s are rational, so the polynomial is its own value
+        # at lam; the vector shares the polynomial's term dict
         verma_vector=verma_from_xi(poly),
         checks={},
     )

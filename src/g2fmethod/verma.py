@@ -84,6 +84,15 @@ class VermaVector:
                     clean[tuple(m)] = c
         self.terms = clean
 
+    @classmethod
+    def _of_terms(cls, terms: Dict[Monomial, LambdaPoly]) -> "VermaVector":
+        """Around a clean term dict (exponent tuples, nonzero ``LambdaPoly``
+        coefficients), shared instead of copied: no term dict is mutated
+        after its vector or polynomial is built."""
+        v = object.__new__(cls)
+        v.terms = terms
+        return v
+
     @staticmethod
     def zero() -> "VermaVector":
         return VermaVector()

@@ -291,3 +291,32 @@ def test_usage_error_exits_64_with_one_stderr_line(argv):
     assert proc.stdout == "", argv
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and "error:" in lines[0], (argv, proc.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--degree", "100000", "--lambda=1/2"],
+    ["singular", "--homogeneity", "602"],
+    ["singular", "--scan", "--max-degree", "201"],
+    ["hilbert", "--max-degree", "41"],
+    ["algebra", "--n", "9"],
+])
+def test_request_over_its_cap_exits_64_with_one_stderr_line(argv):
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-m", "g2fmethod", *argv], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == cli.EXIT_USAGE, (argv, proc.returncode)
+    assert proc.stdout == "", argv
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "error:" in lines[0] and "at most" in lines[0], (argv, proc.stderr)
+
+
+def test_each_cap_itself_is_accepted():
+    parser = cli.build_parser()
+    caps = cli.CAPS
+    assert parser.parse_args(["oracle", "--degree", str(caps["oracle --degree"]), "--lambda=1/2"]).degree == 40
+    assert parser.parse_args(["singular", "--homogeneity", "600"]).homogeneity == caps["singular --homogeneity"]
+    assert parser.parse_args(["singular", "--scan", "--max-degree", "200"]).max_degree == caps["singular --max-degree"]
+    assert parser.parse_args(["hilbert", "--max-degree", "40"]).max_degree == caps["hilbert --max-degree"]
+    assert parser.parse_args(["algebra", "--n", "8"]).n == caps["algebra --n"]

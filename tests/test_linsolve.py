@@ -138,7 +138,8 @@ def dense_bareiss(M):
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 num = A[r][c] * A[i][j] - A[i][c] * A[r][j]
-                A[i][j] = num.exact_div(prev)
+                A[i][j], rem = num.divmod(prev)
+                assert rem.is_zero()
             A[i][c] = LambdaPoly()
         prev = A[r][c]
         pivot_rows.append(r)
@@ -195,3 +196,65 @@ def test_certify_minors_counts_every_minor_tried(ctx, monkeypatch):
     monkeypatch.setattr(linsolve, "_bareiss_rank", counted)
     assert solve_even(ctx, 8, verify=False) is None
     assert len(calls) <= budget + 1
+
+
+# -- integer layers ----------------------------------------------------------
+
+
+def scaled_parametric(rng: random.Random, rows: int, cols: int, density: float):
+    """Sparse rows of parameter polynomials of degree <= 2 whose coefficients
+    share one denominator per row, up to 2^64, so every row scale differs."""
+    def row():
+        q = rng.choice((1, 3, 7, 2 ** 64, 2 ** 61 - 1, rng.randint(2, 2 ** 64)))
+        return [LambdaPoly([F(rng.randint(-9, 9), q) for _ in range(rng.randint(1, 3))])
+                if rng.random() < density else LambdaPoly() for _ in range(cols)]
+
+    return [row() for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_bareiss_on_integer_layers_matches_dense_reference_with_row_scales(seed):
+    rng = random.Random(1000 + seed)
+    m = scaled_parametric(rng, rng.randint(1, 9), rng.randint(1, 7), rng.choice((0.3, 0.6, 0.9)))
+    kind = seed % 3
+    if kind == 1 and len(m) > 2:
+        # rank-deficient: the last row is a combination of the first two over Q[L]
+        m[-1] = [a * (LAMBDA * F(1, 2 ** 64) + 1) - b * F(3, 5) for a, b in zip(m[0], m[1])]
+    elif kind == 2:
+        # swap-heavy: leading rows hold no entry, or one of high degree, in the
+        # early columns, so most pivots come from rows further down
+        for i, row in enumerate(m[: len(m) // 2]):
+            for j in range(min(i + 1, len(row))):
+                row[j] = LambdaPoly() if (i + j) % 2 else row[j] * LAMBDA ** 3
+    assert _bareiss_rank(m) == dense_bareiss(m)
+
+
+def test_bareiss_keeps_a_rank_deficient_system_with_distinct_scales():
+    rows = [
+        [LAMBDA * F(1, 3) + 1, LambdaPoly.const(F(2, 7)), LambdaPoly()],
+        [LambdaPoly.const(F(5, 2 ** 64)), LAMBDA * F(1, 2 ** 64), LambdaPoly.const(1)],
+    ]
+    rows.append([a * F(7, 11) - b * (LAMBDA * 3) for a, b in zip(rows[0], rows[1])])
+    rows.append([LambdaPoly()] * 3)
+    r, det, pivots = _bareiss_rank(rows)
+    assert (r, det, pivots) == dense_bareiss(rows)
+    assert r == 2
+
+
+def test_integer_layer_division_is_exact_or_raises():
+    from g2fmethod.scalars import layers_exact_div, layers_mul_sub
+
+    a, b = [3, -1, 4], [-5, 0, 2, 7]
+    assert layers_exact_div(layers_mul_sub(a, b), b) == a
+    assert layers_exact_div(layers_mul_sub(a, b), a) == b
+    assert layers_exact_div([6, -4, 2], [2]) == [3, -2, 1]
+    assert layers_exact_div([], [1, 1]) == []
+    for num, den in (
+        ([1, 2], [2]),            # a rational quotient 1/2 + L is not integral
+        ([2, 2], [4, 4]),         # (2L + 2) / (4L + 4) = 1/2
+        ([1, 0, 1], [1, 1]),      # L^2 + 1 = (L - 1)(L + 1) + 2
+        ([1, 3], [1, 0, 1]),      # divisor of higher degree, nonzero dividend
+        ([1, 1, 1], [0, 2]),      # the leading layer divides, a lower one does not
+    ):
+        with pytest.raises(ArithmeticError):
+            layers_exact_div(num, den)

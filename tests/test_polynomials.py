@@ -140,6 +140,11 @@ def test_power_edge_cases():
         assert one_term ** n == repeated_product(one_term, n)
     with pytest.raises(ValueError):
         x1 ** -1
+    p = x1 * Fraction(2, 3) + x2 * LAMBDA
+    assert p ** 0 == XiPolynomial.constant(1)
+    assert p ** 1 == p
+    with pytest.raises(ValueError):
+        p ** -7
 
 
 def test_power_with_parameter_coefficients():
@@ -176,3 +181,69 @@ def test_packed_monomials_round_trip_and_sort_like_term_order():
         m, delta = (3, 0, 2, 5, 1), (-1, 1, 0, -2, 1)
         moved = tuple(a + b for a, b in zip(m, delta))
         assert pack_monomial(m, w) + pack_monomial(delta, w) == pack_monomial(moved, w)
+
+
+# -- the power on integer layers ---------------------------------------------
+
+
+def test_power_on_integer_layers_matches_repeated_product():
+    # denominators, negative coefficients and powers of the parameter up to L^3,
+    # with large numerators, so the packed fields must be as wide as the bound
+    rng = random.Random(909)
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            mono = tuple(rng.randint(0, 3) for _ in range(5))
+            terms[mono] = LambdaPoly([Fraction(rng.choice((rng.randint(-9, 9), rng.randint(-2 ** 40, 2 ** 40))),
+                                               rng.choice((1, 2, 3, 7, 2 ** 33)))
+                                      for _ in range(rng.randint(1, 4))])
+        p = XiPolynomial(terms)
+        n = rng.randint(0, 7)
+        assert p ** n == repeated_product(p, n), (p, n)
+
+
+def test_power_with_cancelling_sums():
+    # (x1 - x2)^n (x1 + x2)^n: collisions across the expansion's steps, and
+    # layers that cancel to zero or to a lower degree in the parameter
+    p = (x1 * x1 - x2 * x2) * (LAMBDA - 1) + x1 * x2 * (LAMBDA * LAMBDA * Fraction(1, 3) - LAMBDA)
+    for n in range(6):
+        assert p ** n == repeated_product(p, n), n
+    q = (x1 + x2 * (-1)) * LAMBDA + x1 * (LAMBDA * (-1) + 1) + x2 * LAMBDA
+    assert q ** 5 == repeated_product(q, 5) == x1 ** 5
+
+
+def test_equal_power_coefficients_are_one_object():
+    q = (x1 * x4 + x2 * x5) * 4 + x3 * x3
+    for n in (1, 7, 20):
+        r = q ** n
+        by_value = {}
+        for c in r.terms.values():
+            assert by_value.setdefault(c.coeffs, c) is c
+        # the mirror terms (i, k-i, ., i, k-i) and (k-i, i, ., k-i, i)
+        for m, c in r.terms.items():
+            assert r.terms[(m[1], m[0], m[2], m[4], m[3])] is c
+
+
+def test_laplace_dual_power_is_the_binomial_sum():
+    from math import comb
+
+    from g2fmethod.solver import LAPLACE_DUAL, invariant_monomial_basis
+
+    for N in range(41):
+        expected = XiPolynomial.zero()
+        for s, b in enumerate(invariant_monomial_basis(2 * N)):     # I1^s x3^(2N-2s)
+            expected = expected + b * (4 ** s * comb(N, s))
+        assert LAPLACE_DUAL ** N == expected, N
+
+
+def test_packed_layers_round_trip():
+    from g2fmethod.scalars import pack_layers, unpack_layers
+
+    rng = random.Random(17)
+    for _ in range(200):
+        layers = [rng.randint(-2 ** 30, 2 ** 30) for _ in range(rng.randint(0, 5))]
+        while layers and not layers[-1]:
+            layers.pop()
+        assert unpack_layers(pack_layers(layers, 32), 32) == layers
+    v = 12345678901234567890
+    assert pack_layers([v], 80) == v and unpack_layers(v, 80)[0] is v   # a constant unpacks to itself

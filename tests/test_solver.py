@@ -440,3 +440,43 @@ def test_perturbed_certificates_fail_the_annihilator_checks(ctx):
         assert ctx.module.annihilates(elements, bad.verma_vector, bad.lam) == alone
         assert not all(alone)
 
+
+
+# -- one object per distinct certificate coefficient ---------------------------
+
+
+def test_certificate_shares_its_term_dict_and_equal_coefficients(ctx):
+    N = 12
+    cert = solve_even(ctx, N, verify=False)
+    assert cert.verma_vector.terms is cert.xi_polynomial.terms
+    terms = cert.xi_polynomial.terms
+    for k in range(N + 1):
+        for i in range(k + 1):
+            m = (i, k - i, 2 * N - 2 * k, i, k - i)
+            assert terms[m] is terms[(k - i, i, 2 * N - 2 * k, k - i, i)], m
+    by_value = {}
+    for c in terms.values():
+        assert by_value.setdefault(c.coeffs, c) is c
+    # the invariant basis shares its binomial coefficients across all elements
+    by_value = {}
+    for b in invariant_monomial_basis(2 * N):
+        for c in b.terms.values():
+            assert by_value.setdefault(c.coeffs, c) is c
+
+
+def test_frontier_operation_live_peak_at_homogeneity_120(ctx):
+    # one frontier operation: a checked certificate, then the benchmark's
+    # closed-form power held beside it; 1.33 MB before the coefficients were
+    # shared and the power ran on integer layers
+    N = 60
+    solve_even(ctx, N)                      # warm: compiled operator and action tables
+    tracemalloc.start()
+    try:
+        cert = solve_even(ctx, N)
+        power = LAPLACE_DUAL ** N
+        assert cert.xi_polynomial == power
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(cert.checks[k] for k in ("p_prime_singular", "so7_singular"))
+    assert peak <= 1.1e6, peak
