@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .embedding import (
     EXPECTED_ARROWS,
@@ -29,6 +29,7 @@ from .liealg import (
     build_g2_root_data,
     build_so_odd,
     eps_weight,
+    signed_sum,
 )
 from .operators import op_apply, parse_operator
 from .polynomials import XiPolynomial
@@ -52,23 +53,20 @@ EXIT_CHECK_FAILED = 2
 EXIT_USAGE = 64     # EX_USAGE: the command line itself is malformed
 
 
-def _emit(args, text: str, payload: Optional[dict] = None, latex: Optional[str] = None,
-          dot: Optional[str] = None) -> None:
+def _emit(args, text: Callable[[], str], payload: Optional[Callable[[], dict]] = None,
+          latex: Optional[Callable[[], str]] = None, dot: Optional[Callable[[], str]] = None) -> None:
+    """Write the one form ``--format`` asks for to stdout or ``--out``.
+
+    Every form is a zero-argument callable, so only the requested one is built.
+    """
     fmt = getattr(args, "format", "text")
+    render = {"text": text, "json": payload, "latex": latex, "dot": dot}[fmt]
+    if render is None:
+        raise SystemExit(f"no {fmt} form for this command")
+    body = render()
     if fmt == "json":
-        if payload is None:
-            raise SystemExit("no json form for this command")
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "latex":
-        if latex is None:
-            raise SystemExit("no latex form for this command")
-        body = latex + "\n"
-    elif fmt == "dot":
-        if dot is None:
-            raise SystemExit("no dot form for this command")
-        body = dot + "\n"
-    else:
-        body = text + "\n"
+        body = json.dumps(body, indent=2, sort_keys=True)
+    body += "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -140,32 +138,6 @@ def parse_weight(s: str) -> WeightVec:
     return WeightVec(tuple(coords), basis)
 
 
-def format_psi(w: WeightVec) -> str:
-    """Render an alpha-basis weight in fundamental-weight coordinates."""
-    x, y = alpha_to_psi(w)
-    parts = []
-    for c, name in ((x, "psi1"), (y, "psi2")):
-        if isinstance(c, LambdaPoly):
-            if c.is_zero():
-                continue
-            if c.is_constant():
-                c = c.constant_value()
-            else:
-                parts.append((f"({c})*{name}", "+"))
-                continue
-        if c == 0:
-            continue
-        mag = abs(c)
-        body = name if mag == 1 else f"{mag}*{name}"
-        parts.append((body, "-" if c < 0 else "+"))
-    if not parts:
-        return "0"
-    out = []
-    for k, (body, sgn) in enumerate(parts):
-        out.append((body if sgn == "+" else f"-{body}") if k == 0 else f"{sgn} {body}")
-    return " ".join(out)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -188,7 +160,7 @@ def cmd_algebra(args) -> int:
             f"rank-2 exceptional datum: {datum.root_count} roots, "
             f"highest root {datum.highest()}"
         )
-    _emit(args, "\n".join(lines), payload=table.to_json())
+    _emit(args, lambda: "\n".join(lines), payload=table.to_json)
     return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
 
 
@@ -204,25 +176,26 @@ def cmd_embedding(args) -> int:
         from .embedding import project_weight
 
         out = project_weight(w)
-        _emit(args, format_psi(out), payload={"weight": str(out), "psi": format_psi(out)})
+        psi = signed_sum(alpha_to_psi(out), ("psi1", "psi2"))
+        _emit(args, lambda: psi, payload=lambda: {"weight": str(out), "psi": psi})
         return EXIT_OK
     if args.action == "inject":
         from .embedding import inject_weight
 
         out = inject_weight(w)
-        _emit(args, str(out), payload={"weight": str(out)})
+        _emit(args, lambda: str(out), payload=lambda: {"weight": str(out)})
         return EXIT_OK
 
     try:
         emb = embed_g2()
     except ValueError as exc:
-        _emit(args, f"FAILED: {exc}")
+        _emit(args, lambda: f"FAILED: {exc}")
         return EXIT_CHECK_FAILED
     lat = inclusion_lattice(emb)
 
     if args.action == "lattice":
-        text = "\n".join(f"{a} -> {b}" for a, b in lat.arrows)
-        _emit(args, text, payload=lat.to_json(), dot=lat.to_dot())
+        _emit(args, lambda: "\n".join(f"{a} -> {b}" for a, b in lat.arrows), payload=lat.to_json,
+              dot=lat.to_dot)
         return EXIT_OK
 
     lattice_ok = lat.arrows == EXPECTED_ARROWS
@@ -243,7 +216,7 @@ def cmd_embedding(args) -> int:
         "lattice_matches": lattice_ok,
         "cartan_images": {"h'1": h1, "h'2": h2},
     }
-    _emit(args, text, payload=payload)
+    _emit(args, lambda: text, payload=lambda: payload)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -263,7 +236,7 @@ def cmd_parabolic(args) -> int:
         f"nilradical: {', '.join(str(l) for l in p.nilradical_labels)}\n"
         f"opposite:   {', '.join(str(l) for l in p.opposite_labels)}"
     )
-    _emit(args, text, payload=p.to_json())
+    _emit(args, lambda: text, payload=p.to_json)
     return EXIT_OK
 
 
@@ -277,7 +250,7 @@ def cmd_hilbert(args) -> int:
             "series_match": True,
             "mismatches": [],
         }
-        _emit(args, text, payload=payload)
+        _emit(args, lambda: text, payload=lambda: payload)
         return EXIT_OK
     report = hilbert_series_check(L)
     if args.t is not None:
@@ -288,7 +261,7 @@ def cmd_hilbert(args) -> int:
     lines.append(
         "series vs closed form: " + ("MATCH" if report.all_match else "MISMATCH")
     )
-    _emit(args, "\n".join(lines), payload=report.to_json())
+    _emit(args, lambda: "\n".join(lines), payload=report.to_json)
     return EXIT_OK if report.all_match else EXIT_CHECK_FAILED
 
 
@@ -296,7 +269,7 @@ def cmd_singular(args) -> int:
     ctx = SolverContext()
     if args.show_operator:
         op = ctx.lowering_op
-        _emit(args, str(op), payload={"operator": str(op)}, latex=op.to_latex())
+        _emit(args, lambda: str(op), payload=lambda: {"operator": str(op)}, latex=op.to_latex)
         return EXIT_OK
     if args.scan:
         if not args.max_degree:
@@ -322,7 +295,7 @@ def cmd_singular(args) -> int:
                 for d, lams in rows
             ],
         }
-        _emit(args, text, payload=payload)
+        _emit(args, lambda: text, payload=lambda: payload)
         return EXIT_OK
     if args.homogeneity is None:
         raise SystemExit("one of --homogeneity, --scan, --show-operator is required")
@@ -334,25 +307,27 @@ def cmd_singular(args) -> int:
         if rep.empty_for_all_lambda:
             _emit(
                 args,
-                f"no singular vector of homogeneity {d} for any parameter value "
+                lambda: f"no singular vector of homogeneity {d} for any parameter value "
                 "(odd homogeneity regime)",
-                payload=rep.to_json(),
+                payload=rep.to_json,
             )
             return EXIT_NO_RESULT
-        _emit(args, "unexpected odd-homogeneity solution candidates", payload=rep.to_json())
+        _emit(args, lambda: "unexpected odd-homogeneity solution candidates", payload=rep.to_json)
         return EXIT_CHECK_FAILED
     cert = solve_even(ctx, d // 2)
     if cert is None:
-        _emit(args, f"no singular vector of homogeneity {d}")
+        _emit(args, lambda: f"no singular vector of homogeneity {d}")
         return EXIT_NO_RESULT
-    text = (
-        f"homogeneity {d}: lambda = {rational_to_string(cert.lam)}\n"
+    _emit(
+        args,
+        lambda: f"homogeneity {d}: lambda = {rational_to_string(cert.lam)}\n"
         f"coefficients: {', '.join(rational_to_string(c) for c in cert.coefficients)}\n"
         f"xi polynomial: {cert.xi_polynomial}\n"
         f"module vector: {cert.verma_vector}\n"
-        f"checks: {json.dumps(cert.checks, sort_keys=True)}"
+        f"checks: {json.dumps(cert.checks, sort_keys=True)}",
+        payload=cert.to_json,
+        latex=cert.to_latex,
     )
-    _emit(args, text, payload=cert.to_json(), latex=cert.to_latex())
     return EXIT_OK
 
 
@@ -379,7 +354,7 @@ def cmd_oracle(args) -> int:
         "dimension": len(kernel),
         "basis": [str(v) for v in kernel],
     }
-    _emit(args, "\n".join(text_lines), payload=payload)
+    _emit(args, lambda: "\n".join(text_lines), payload=lambda: payload)
     return EXIT_OK if kernel else EXIT_NO_RESULT
 
 
@@ -399,7 +374,7 @@ def _meets_match_inclusions(emb, lat) -> bool:
         if p.algebra != "so7":
             continue
         q = intersect_parabolic(emb, p)
-        qname = f"p'({','.join(str(m) for m in q.mask)})"
+        qname = q.name
         if (qname, name) not in lat.inclusions:
             ok = False
         for oname, other in lat.parabolics.items():
@@ -611,7 +586,7 @@ def cmd_verify(args) -> int:
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<10} {detail} ({dt:.1f}s)")
     all_ok = all(r["passed"] for r in results)
     lines.append("all suites passed" if all_ok else "FAILURES present")
-    _emit(args, "\n".join(lines), payload={"suites": results, "all_passed": all_ok})
+    _emit(args, lambda: "\n".join(lines), payload=lambda: {"suites": results, "all_passed": all_ok})
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 

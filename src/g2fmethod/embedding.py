@@ -9,19 +9,23 @@ extract a labeled basis (iterated brackets of the generators, one vector per
 root, plus the two canonical Cartan elements), compute its structure table,
 and assign each root vector its weight read from the Cartan eigenvalues.
 
-Parabolic subalgebras on both sides are encoded by crossed-root masks, and
-the inclusion diagram between the two families is computed from raw subspace
-inclusions followed by transitive reduction.
+Parabolic subalgebras on both sides are encoded by crossed-root masks.  Both
+families are compared inside so(7), in its basis coordinates: an so(7)
+parabolic is spanned by the unit vectors of its members, a subalgebra
+parabolic by its members' images.  The meet of the subalgebra with an so(7)
+parabolic and the inclusion diagram between the two families are subspace
+questions answered by ``linsolve.SparseSpan``; the diagram keeps the
+covering arrows of the inclusions (transitive reduction).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import (
-    CoordinateSolver,
     Element,
     Label,
     SparseMatrix,
@@ -30,11 +34,10 @@ from .liealg import (
     alpha_weight,
     build_so_odd,
     eps_weight,
-    mat_flatten,
     sparse_commutator,
     _fill_brackets,
 )
-from .linsolve import SpanBuilder
+from .linsolve import SparseSpan
 
 # alpha coordinates from the pair of Cartan eigenvalues (u, v):
 # the canonical Cartan elements pair as <w, alpha_i>, and the inverse of the
@@ -76,11 +79,11 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
     }
 
     # bracket closure inside so(7), spanned in so(7) basis coordinates
-    span = CoordinateSolver()
+    span = SparseSpan()
     basis_elems: List[Element] = []
 
     def add(elem: Element) -> bool:
-        if span.add(len(basis_elems), elem):
+        if span.add(_so7_coordinates(so7, elem)):
             basis_elems.append(elem)
             return True
         return False
@@ -147,6 +150,12 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
     emb = Embedding(so7=so7, g2=g2, generator_images=images)
     _verify_homomorphism(emb)
     return emb
+
+
+def _so7_coordinates(so7: StructureTable, x: Element) -> Dict[int, Fraction]:
+    """An so(7) element keyed by the positions of its labels in the basis,
+    which compare where the labels (integers and 'h1'...) do not."""
+    return {so7.labels.index(l): c for l, c in x.items()}
 
 
 def _eigen_ratio(m: SparseMatrix, base: SparseMatrix) -> Fraction:
@@ -261,11 +270,19 @@ def parabolic(table: StructureTable, mask: Sequence[int]) -> ParabolicSelection:
     )
 
 
-def _parabolic_span(table: StructureTable, p: ParabolicSelection) -> SpanBuilder:
-    width = len(next(iter(table.matrices.values()))) ** 2
-    span = SpanBuilder(width)
-    for l in p.member_labels():
-        span.add(mat_flatten(table.matrices[l]))
+def _member_vectors(emb: Embedding, p: ParabolicSelection) -> List[Dict[int, Fraction]]:
+    """Vectors spanning a parabolic in so(7) basis coordinates: the unit
+    vectors of an so(7) parabolic's members, the images of a subalgebra
+    parabolic's.  The so(7) basis matrices are independent, so containment
+    in these coordinates is containment of the matrix spans."""
+    images = emb.generator_images if p.algebra == "g2" else {l: {l: Fraction(1)} for l in p.member_labels()}
+    return [_so7_coordinates(emb.so7, images[l]) for l in p.member_labels()]
+
+
+def _span(vectors: List[Dict[int, Fraction]]) -> SparseSpan:
+    span = SparseSpan()
+    for v in vectors:
+        span.add(v)
     return span
 
 
@@ -278,13 +295,10 @@ def intersect_parabolic(emb: Embedding, p: ParabolicSelection) -> ParabolicSelec
     """
     if p.algebra == "g2":
         raise ValueError("expected a so(7) parabolic")
-    pspan = _parabolic_span(emb.so7, p)
-    member: List[Label] = []
-    for l in emb.g2.labels:
-        vec = mat_flatten(emb.g2.matrices[l])
-        if pspan.contains(vec):
-            member.append(l)
-    member_set = set(member)
+    pspan = _span(_member_vectors(emb, p))
+    member_set = {
+        l for l in emb.g2.labels if pspan.contains(_so7_coordinates(emb.so7, emb.generator_images[l]))
+    }
     if not all(h in member_set for h in emb.g2.cartan_labels):
         raise ValueError("intersection lost the Cartan subalgebra")
     for mask in _all_masks(2):
@@ -295,10 +309,7 @@ def intersect_parabolic(emb: Embedding, p: ParabolicSelection) -> ParabolicSelec
 
 
 def _all_masks(rank: int) -> List[Tuple[int, ...]]:
-    masks = []
-    for bits in range(2 ** rank):
-        masks.append(tuple((bits >> (rank - 1 - i)) & 1 for i in range(rank)))
-    return sorted(masks)
+    return list(itertools.product((0, 1), repeat=rank))
 
 
 # ---------------------------------------------------------------------------
@@ -332,53 +343,28 @@ class InclusionLattice:
         }
 
 
-def _node_name(p: ParabolicSelection) -> str:
-    body = ",".join(str(m) for m in p.mask)
-    return (f"p({body})" if p.algebra != "g2" else f"p'({body})")
-
-
 def inclusion_lattice(emb: Embedding) -> InclusionLattice:
-    """Compute every inclusion between the 8 + 4 parabolics, then reduce."""
-    entries: List[Tuple[str, ParabolicSelection, SpanBuilder, List[List[Fraction]]]] = []
-    for mask in _all_masks(3):
-        p = parabolic(emb.so7, mask)
-        vecs = [mat_flatten(emb.so7.matrices[l]) for l in p.member_labels()]
-        entries.append((_node_name(p), p, _parabolic_span(emb.so7, p), vecs))
-    for mask in _all_masks(2):
-        q = parabolic(emb.g2, mask)
-        vecs = [mat_flatten(emb.g2.matrices[l]) for l in q.member_labels()]
-        entries.append((_node_name(q), q, _parabolic_span(emb.g2, q), vecs))
+    """Every inclusion between the 8 + 4 parabolics, then the covering arrows.
 
-    names = [name for name, _, _, _ in entries]
-    inclusions: List[Tuple[str, str]] = []
-    contained: Dict[Tuple[str, str], bool] = {}
-    for ia, (na, pa, _, vecs_a) in enumerate(entries):
-        for ib, (nb, pb, span_b, _) in enumerate(entries):
-            if ia == ib:
-                continue
-            ok = all(span_b.contains(v) for v in vecs_a)
-            contained[(na, nb)] = ok
-            if ok:
-                inclusions.append((na, nb))
-
-    # transitive reduction: keep a -> b when nothing sits strictly between
-    arrows = []
-    for a, b in inclusions:
-        direct = True
-        for c in names:
-            if c != a and c != b and contained.get((a, c)) and contained.get((c, b)):
-                direct = False
-                break
-        if direct:
-            arrows.append((a, b))
-    arrows.sort()
-    inclusions.sort()
-    return InclusionLattice(
-        nodes=names,
-        arrows=arrows,
-        inclusions=inclusions,
-        parabolics={name: p for name, p, _, _ in entries},
+    Each parabolic is spanned in so(7) basis coordinates (``_member_vectors``)
+    by one ``SparseSpan``; one parabolic lies in another when every spanning
+    vector of the first is in the span of the second.
+    """
+    family = [parabolic(emb.so7, m) for m in _all_masks(3)] + [parabolic(emb.g2, m) for m in _all_masks(2)]
+    parabolics = {p.name: p for p in family}
+    vectors = {name: _member_vectors(emb, p) for name, p in parabolics.items()}
+    spans = {name: _span(vecs) for name, vecs in vectors.items()}
+    inclusions = sorted(
+        (a, b) for a in parabolics for b in parabolics
+        if a != b and all(spans[b].contains(v) for v in vectors[a])
     )
+    # transitive reduction: keep a -> b when nothing sits strictly between
+    included = set(inclusions)
+    arrows = [
+        (a, b) for a, b in inclusions
+        if not any((a, c) in included and (c, b) in included for c in parabolics)
+    ]
+    return InclusionLattice(nodes=list(parabolics), arrows=arrows, inclusions=inclusions, parabolics=parabolics)
 
 
 # the inclusion diagram fixture: covering arrows expected of the computation

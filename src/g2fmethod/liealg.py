@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linsolve import axpy
+from .linsolve import SparseSpan
 from .scalars import LambdaPoly, rational_from_string, rational_to_string
 
 Label = Union[int, str]
@@ -48,10 +48,6 @@ SparseMatrix = Dict[Tuple[int, int], Fraction]
 # ---------------------------------------------------------------------------
 # matrices: dense for storage, sparse for products
 # ---------------------------------------------------------------------------
-
-
-def mat_flatten(a: Matrix) -> List[Fraction]:
-    return [x for row in a for x in row]
 
 
 def sparse_entries(a: Matrix) -> SparseMatrix:
@@ -142,31 +138,39 @@ class WeightVec:
             raise ValueError("weight basis mismatch")
 
     def __str__(self) -> str:
-        names = {"eps": "eps", "alpha": "alpha"}[self.basis]
-        parts = []
-        for i, c in enumerate(self.coords, start=1):
-            if isinstance(c, LambdaPoly):
-                if c.is_zero():
-                    continue
-                if c.is_constant():
-                    c = c.constant_value()
-                else:
-                    parts.append((f"({c})*{names}{i}", "+"))
-                    continue
-            if c == 0:
+        return signed_sum(self.coords, [f"{self.basis}{i}" for i in range(1, len(self.coords) + 1)])
+
+
+def signed_sum(coords: Sequence, names: Sequence[str]) -> str:
+    """Render  sum c_i*name_i  as '2*eps1 - eps3', skipping zero terms.
+
+    A coefficient may be a ``LambdaPoly``: a constant one prints as its
+    value, any other in parentheses.
+    """
+    parts = []
+    for c, name in zip(coords, names):
+        if isinstance(c, LambdaPoly):
+            if c.is_zero():
                 continue
-            mag = abs(c)
-            body = f"{names}{i}" if mag == 1 else f"{mag}*{names}{i}"
-            parts.append((body, "-" if c < 0 else "+"))
-        if not parts:
-            return "0"
-        out = []
-        for k, (body, sign) in enumerate(parts):
-            if k == 0:
-                out.append(body if sign == "+" else f"-{body}")
+            if c.is_constant():
+                c = c.constant_value()
             else:
-                out.append(f"{sign} {body}")
-        return " ".join(out)
+                parts.append((f"({c})*{name}", "+"))
+                continue
+        if c == 0:
+            continue
+        mag = abs(c)
+        body = name if mag == 1 else f"{mag}*{name}"
+        parts.append((body, "-" if c < 0 else "+"))
+    if not parts:
+        return "0"
+    out = []
+    for k, (body, sign) in enumerate(parts):
+        if k == 0:
+            out.append(body if sign == "+" else f"-{body}")
+        else:
+            out.append(f"{sign} {body}")
+    return " ".join(out)
 
 
 def reflect(w: WeightVec, root: WeightVec) -> WeightVec:
@@ -522,78 +526,17 @@ def _fill_brackets(table: StructureTable) -> None:
     matrices and expressed in the basis by one elimination done up front.
     """
     order = list(table.labels)
-    solver = CoordinateSolver({l: table.entries[l] for l in order})
+    span = SparseSpan({l: table.entries[l] for l in order})
     for a in order:
         for b in order:
             if (a, b) in table.brackets:
                 continue
             m = sparse_commutator(table.entries[a], table.entries[b])
-            val = solver.express(m) if m else {}
+            val = span.express(m) if m else {}
             if val is None:
                 raise ValueError("bracket left the algebra span")
             table.brackets[(a, b)] = val
             table.brackets[(b, a)] = {k: -v for k, v in val.items()}
-
-
-class CoordinateSolver:
-    """Express sparse vectors over an independent basis, eliminating once.
-
-    Vectors are dicts from positions to nonzero values.  Each basis vector is
-    reduced against the rows kept so far, together with a record of the
-    basis combination it stands for, and any of its remaining nonzero
-    positions becomes its pivot.  The rows stay fully reduced (each vanishes
-    at every other row's pivot), so the coordinate of a vector along a row
-    is simply its entry at that row's pivot.
-    """
-
-    def __init__(self, basis: Optional[Dict[Label, Dict]] = None):
-        self.labels: List[Label] = []
-        self.rows: Dict = {}       # pivot -> (reduced vector, its basis coordinates)
-        for label, vec in (basis or {}).items():
-            if not self.add(label, vec):
-                raise ValueError(f"basis element {label} is dependent")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.labels)
-
-    def add(self, label: Label, vec: Dict) -> bool:
-        """Extend the basis by ``vec``; False, and no change, when it is in the span."""
-        v, coords = self._reduce(vec)
-        if not v:
-            return False
-        combo = {label: Fraction(1)}
-        axpy(combo, -1, coords)
-        pivot = next(iter(v))
-        pv = v[pivot]
-        v = {k: x / pv for k, x in v.items()}
-        combo = {k: x / pv for k, x in combo.items()}
-        for qv, qc in self.rows.values():
-            f = qv.get(pivot)
-            if f:
-                axpy(qv, -f, v)
-                axpy(qc, -f, combo)
-        self.rows[pivot] = (v, combo)
-        self.labels.append(label)
-        return True
-
-    def _reduce(self, vec: Dict) -> Tuple[Dict, Dict]:
-        """(vec minus its projection on the rows, the projection's basis coordinates)."""
-        residual = dict(vec)
-        coords: Dict = {}
-        for pivot, f in vec.items():
-            row = self.rows.get(pivot)
-            if row is not None:
-                axpy(residual, -f, row[0])
-                axpy(coords, f, row[1])
-        return residual, coords
-
-    def express(self, vec: Dict) -> Optional[Element]:
-        """Basis coordinates of ``vec`` in label order, or None outside the span."""
-        residual, coords = self._reduce(vec)
-        if residual:
-            return None
-        return {l: coords[l] for l in self.labels if l in coords}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Exact linear algebra: rational matrices and parametric kernels.
+"""Exact linear algebra: one field eliminator, and Bareiss as the ring case.
 
-Two layers:
-
-* sparse Gauss-Jordan elimination over ``Fraction`` (rref, rank, kernel
-  bases) used everywhere a subspace question comes up;
-* fraction-free (Bareiss) elimination over the polynomial ring in the formal
-  parameter, used to locate every rational parameter value at which a
-  matrix drops rank.  It runs on integer layers: each row is scaled once to
+* ``SparseSpan`` is the one eliminator over the rationals: sparse
+  Gauss-Jordan elimination that takes vectors one at a time and keeps its
+  rows fully reduced.  ``rref``, ``rank`` and ``kernel_basis`` read it row
+  by row; the bracket tables express commutators in it, the embedding
+  closure grows in it, and the parabolic inclusions test containment in it.
+* Over the polynomial ring in the formal parameter, fraction-free (Bareiss)
+  elimination locates every rational parameter value at which a matrix
+  drops rank.  It runs on integer layers: each row is scaled once to
   integer coefficients (its row scale), the sparse rows are scaled lazily,
   and every update and exact division is on Python ``int``s; the pivot
   determinant is recovered exactly by dividing out the pivot rows' scales.
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .scalars import IntPoly, LambdaPoly, integer_layers, layers_exact_div, layers_mul_sub, poly_gcd
 
@@ -35,31 +36,13 @@ Matrix = List[Row]
 
 
 def _sparse_rref(matrix: Sequence[Sequence[Fraction]]) -> Tuple[List[Dict[int, Fraction]], List[int]]:
-    """Reduced row echelon form as sparse rows, by Gauss-Jordan over dicts.
-
-    Rows are taken one at a time, reduced against the pivot rows kept so far
-    and, when something survives, normalized at their first nonzero column;
-    that column is then cleared from the earlier pivot rows.  The kept rows
-    stay fully reduced, and the reduced row echelon form is unique, so
-    sorting them by pivot gives it exactly.
-    """
-    kept: Dict[int, Dict[int, Fraction]] = {}      # pivot column -> its row
+    """Reduced row echelon form as sparse rows: the rows of a ``SparseSpan``
+    of the matrix rows, sorted by pivot."""
+    span = SparseSpan()
     for row in matrix:
-        v = {j: x for j, x in enumerate(row) if x}
-        for pc in [j for j in v if j in kept]:
-            axpy(v, -v[pc], kept[pc])
-        if not v:
-            continue
-        pc = min(v)
-        pv = v[pc]
-        v = {j: x / pv for j, x in v.items()}
-        for other in kept.values():
-            f = other.get(pc)
-            if f:
-                axpy(other, -f, v)
-        kept[pc] = v
-    pivots = sorted(kept)
-    return [kept[pc] for pc in pivots], pivots
+        span._insert({j: x for j, x in enumerate(row) if x})
+    pivots = sorted(span.rows)
+    return [span.rows[pc] for pc in pivots], pivots
 
 
 def axpy(y: Dict[int, Fraction], a: Fraction, x: Dict[int, Fraction]) -> None:
@@ -114,51 +97,91 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     return basis
 
 
-class SpanBuilder:
-    """Incremental row-echelon basis; used for the parabolic subspace inclusions."""
+class SparseSpan:
+    """A subspace built one vector at a time by sparse Gauss-Jordan elimination.
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: Matrix = []
-        self.pivots: List[int] = []
+    Vectors are dicts from comparable keys (column indices, matrix positions,
+    basis positions) to nonzero ``Fraction`` values.  An added vector is
+    reduced against the rows kept so far; when something survives, it is
+    normalized at its least key, its pivot, and that key is cleared from the
+    earlier rows.  The rows stay fully reduced (each is 1 at its pivot and 0
+    at every other row's pivot), so a vector's coordinate along a row is its
+    entry at that row's pivot, and the rows sorted by pivot are the unique
+    reduced row echelon form.
 
-    def reduce(self, vector: Sequence[Fraction]) -> Row:
-        v = list(vector)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+    A vector added with a label also records the combination of labelled
+    vectors each row stands for, so ``express`` can give coordinates in that
+    basis; an unlabelled vector does no such work.  A span's vectors are
+    either all labelled or all not.
+    """
+
+    def __init__(self, basis: Optional[Dict[Hashable, Dict]] = None):
+        self.rows: Dict = {}        # pivot -> fully reduced row
+        self.combos: Dict = {}      # pivot -> the row as a combination of labels
+        self.labels: List = []
+        for label, vec in (basis or {}).items():
+            if not self.add(vec, label):
+                raise ValueError(f"basis element {label} is dependent")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec: Dict, label: Optional[Hashable] = None) -> bool:
+        """Extend the span by ``vec``; False, and no change, when it is inside."""
+        return self._insert(dict(vec), label)
+
+    def _insert(self, v: Dict, label: Optional[Hashable] = None) -> bool:
+        """``add`` that reduces ``v`` itself in place: ``_sparse_rref`` hands
+        it each freshly built matrix row, saving a copy per row."""
+        rows = self.rows
+        hits = [k for k in v if k in rows]
+        if label is not None:
+            combo = {label: Fraction(1)}
+            for q in hits:
+                axpy(combo, -v[q], self.combos[q])
+        for q in hits:
+            axpy(v, -v[q], rows[q])
+        if not v:
+            return False
+        pc = min(v)
+        pv = v[pc]
+        v = {k: x / pv for k, x in v.items()}
+        if label is not None:
+            combo = {k: x / pv for k, x in combo.items()}
+            for q, row in rows.items():
+                f = row.get(pc)
+                if f:
+                    axpy(self.combos[q], -f, combo)
+            self.combos[pc] = combo
+            self.labels.append(label)
+        for row in rows.values():
+            f = row.get(pc)
+            if f:
+                axpy(row, -f, v)
+        rows[pc] = v
+        return True
+
+    def _residual(self, vec: Dict) -> Dict:
+        """``vec`` minus its projection on the rows, as a new dict."""
+        v = dict(vec)
+        for q in [k for k in vec if k in self.rows]:
+            axpy(v, -vec[q], self.rows[q])
         return v
 
-    def add(self, vector: Sequence[Fraction]) -> bool:
-        """Insert a vector; returns True when it enlarged the span."""
-        v = self.reduce(vector)
-        for p, x in enumerate(v):
-            if x != 0:
-                v = [a / x for a in v]
-                self.rows.append(v)
-                self.pivots.append(p)
-                order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-                self.rows = [self.rows[i] for i in order]
-                self.pivots = [self.pivots[i] for i in order]
-                return True
-        return False
+    def contains(self, vec: Dict) -> bool:
+        return not self._residual(vec)
 
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce(vector))
-
-    def coordinates(self, vector: Sequence[Fraction]) -> Optional[List[Fraction]]:
-        """Coefficients of ``vector`` in the stored row basis, or None."""
-        coeffs: List[Fraction] = []
-        v = list(vector)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(x != 0 for x in v):
+    def express(self, vec: Dict) -> Optional[Dict]:
+        """Coordinates of ``vec`` in the labelled basis, in label order, or
+        None outside the span."""
+        if self._residual(vec):
             return None
-        return coeffs
+        coords: Dict = {}
+        for q, x in vec.items():
+            if q in self.combos:
+                axpy(coords, x, self.combos[q])
+        return {l: coords[l] for l in self.labels if l in coords}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from g2fmethod.embedding import (
     project_weight,
 )
 from g2fmethod.liealg import alpha_weight, eps_weight, g2_psi
+from g2fmethod.linsolve import rank
 
 F = Fraction
 
@@ -165,3 +167,21 @@ def test_dot_export(emb):
     assert dot.startswith("digraph")
     assert dot.count("->") == 20
     assert '"p\'(1,0)" -> "p(1,0,1)";' in dot
+
+
+def test_lattice_inclusions_match_dense_matrix_spans(emb):
+    """The 39 strict inclusions, against the dense route: each parabolic
+    spanned by its members' flattened 7x7 matrices (so(7) parabolics from the
+    so(7) table, subalgebra parabolics from the subalgebra table), and a in b
+    exactly when adding a's matrices to b's leaves the rank unchanged."""
+    flat = {}
+    for table, rank_of_table in ((emb.so7, 3), (emb.g2, 2)):
+        for mask in itertools.product((0, 1), repeat=rank_of_table):
+            p = parabolic(table, mask)
+            flat[p.name] = [[x for row in table.matrices[l] for x in row] for l in p.member_labels()]
+    expected = sorted(
+        (a, b) for a in flat for b in flat
+        if a != b and rank(flat[b] + flat[a]) == rank(flat[b])
+    )
+    assert len(expected) == 39
+    assert inclusion_lattice(emb).inclusions == expected

@@ -258,3 +258,128 @@ def test_integer_layer_division_is_exact_or_raises():
     ):
         with pytest.raises(ArithmeticError):
             layers_exact_div(num, den)
+
+
+# ---------------------------------------------------------------------------
+# the sparse field eliminator against a dense textbook Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def textbook_rref(matrix):
+    """Dense Gauss-Jordan: first nonzero row at or below as pivot, swap,
+    normalize, clear the column in every other row; zero rows end last."""
+    a = [list(row) for row in matrix]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def textbook_kernel(matrix):
+    red, pivots = textbook_rref(matrix)
+    cols = len(matrix[0])
+    basis = []
+    for fc in (j for j in range(cols) if j not in pivots):
+        v = [F(0)] * cols
+        v[fc] = F(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def sparse_rational_matrix(rng):
+    """Sparse rows with small fractions, plus zero, repeated and proportional rows."""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    density = rng.choice((0.15, 0.3, 0.6))
+    m = [[F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else F(0)
+          for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("zero", "repeat", "proportional"))
+        src = rng.choice(m)
+        if kind == "zero":
+            new = [F(0)] * cols
+        elif kind == "repeat":
+            new = list(src)
+        else:
+            c = F(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+            new = [c * x for x in src]
+        m.insert(rng.randint(0, len(m)), new)
+    return m
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_eliminator_matches_textbook_gauss_jordan(seed):
+    rng = random.Random(7000 + seed)
+    for _ in range(5):
+        m = sparse_rational_matrix(rng)
+        ref, ref_pivots = textbook_rref(m)
+        red, pivots = rref(m)
+        assert (red, pivots) == (ref, ref_pivots)
+        assert rank(m) == len(ref_pivots)
+        assert kernel_basis(m) == textbook_kernel(m)
+
+
+def independent_tuple_keyed_basis(rng, labels):
+    """Sparse vectors keyed by (row, column) pairs, independent by the
+    textbook rank of their flattened forms."""
+    keys = [(i, j) for i in range(4) for j in range(4)]
+    while True:
+        basis = {}
+        for label in labels:
+            support = rng.sample(keys, rng.randint(1, 4))
+            basis[label] = {k: F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 3)) for k in support}
+        flat = [[vec.get(k, F(0)) for k in keys] for vec in basis.values()]
+        if len(textbook_rref(flat)[1]) == len(labels):
+            return basis, keys
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_span_expresses_exact_coordinates_in_label_order(seed):
+    rng = random.Random(8000 + seed)
+    labels = rng.sample([-3, -2, -1, 1, 2, 3, "h1", "h2"], rng.randint(1, 7))
+    basis, keys = independent_tuple_keyed_basis(rng, labels)
+    span = linsolve.SparseSpan(basis)
+    assert span.labels == labels and span.dimension == len(labels)
+    for _ in range(10):
+        coeffs = {l: F(rng.randint(-4, 4), rng.randint(1, 5)) for l in labels}
+        vec = {}
+        for l, c in coeffs.items():
+            linsolve.axpy(vec, c, basis[l])
+        assert span.contains(vec)
+        expressed = span.express(vec)
+        assert expressed == {l: c for l, c in coeffs.items() if c}
+        assert list(expressed) == [l for l in labels if coeffs[l]]
+    flat = [[vec.get(k, F(0)) for k in keys] for vec in basis.values()]
+    for k in keys:
+        outside = {k: F(1)}
+        inside = len(textbook_rref(flat + [[outside.get(q, F(0)) for q in keys]])[1]) == len(labels)
+        assert span.contains(outside) == inside
+        assert (span.express(outside) is None) == (not inside)
+
+
+def test_span_rejects_a_dependent_basis():
+    basis = {"a": {(0, 1): F(1)}, "b": {(1, 0): F(2)}, "c": {(0, 1): F(3), (1, 0): F(-1)}}
+    with pytest.raises(ValueError, match="^basis element c is dependent$"):
+        linsolve.SparseSpan(basis)
+
+
+def test_span_add_reports_growth_and_leaves_its_input_alone():
+    span = linsolve.SparseSpan()
+    v = {2: F(3), 5: F(1)}
+    w = {2: F(1), 5: F(1, 3)}
+    assert span.add(v) and not span.add(w) and not span.add({})
+    assert v == {2: F(3), 5: F(1)} and w == {2: F(1), 5: F(1, 3)}
+    assert span.add({5: F(2), 7: F(1)})
+    assert span.rows == {2: {2: F(1), 7: F(-1, 6)}, 5: {5: F(1), 7: F(1, 2)}}

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -468,15 +469,22 @@ def test_frontier_operation_live_peak_at_homogeneity_120(ctx):
     # one frontier operation: a checked certificate, then the benchmark's
     # closed-form power held beside it; 1.33 MB before the coefficients were
     # shared and the power ran on integer layers
+    # The warm-up also fills the interpreter's free lists, so tuples reused
+    # from them inside the window are not counted.  A full collection empties
+    # those lists, and whether one falls inside the window depends on what
+    # the tests before this one left alive; so no collection runs from the
+    # warm-up to the end of the window.
     N = 60
-    solve_even(ctx, N)                      # warm: compiled operator and action tables
-    tracemalloc.start()
+    gc.disable()
     try:
+        solve_even(ctx, N)                  # warm: compiled operator and action tables
+        tracemalloc.start()
         cert = solve_even(ctx, N)
         power = LAPLACE_DUAL ** N
         assert cert.xi_polynomial == power
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert all(cert.checks[k] for k in ("p_prime_singular", "so7_singular"))
     assert peak <= 1.1e6, peak
