@@ -1,8 +1,9 @@
 """Command-line surface: every pipeline stage with deterministic output.
 
 Exit codes: 0 success, 1 no result in this regime (a valid mathematical
-answer), 2 internal verification failure.  Rationals cross the boundary as
-strings 'p/q'; there is no randomness on any user-facing path.
+answer), 2 internal verification failure, 64 a malformed request.
+Rationals cross the boundary as strings 'p/q'; there is no randomness on
+any user-facing path.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
 from .embedding import (
     EXPECTED_ARROWS,
@@ -53,6 +54,12 @@ EXIT_CHECK_FAILED = 2
 EXIT_USAGE = 64     # EX_USAGE: the command line itself is malformed
 
 
+def _reject(message: str) -> NoReturn:
+    """Refuse the request: ``message`` on one stderr line, exit code 64."""
+    sys.stderr.write(f"{message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
 def _emit(args, text: Callable[[], str], payload: Optional[Callable[[], dict]] = None,
           latex: Optional[Callable[[], str]] = None, dot: Optional[Callable[[], str]] = None) -> None:
     """Write the one form ``--format`` asks for to stdout or ``--out``.
@@ -62,7 +69,7 @@ def _emit(args, text: Callable[[], str], payload: Optional[Callable[[], dict]] =
     fmt = getattr(args, "format", "text")
     render = {"text": text, "json": payload, "latex": latex, "dot": dot}[fmt]
     if render is None:
-        raise SystemExit(f"no {fmt} form for this command")
+        _reject(f"no {fmt} form for this command")
     body = render()
     if fmt == "json":
         body = json.dumps(body, indent=2, sort_keys=True)
@@ -147,7 +154,7 @@ def cmd_algebra(args) -> int:
     try:
         table = build_so_odd(args.n)
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        _reject(str(exc))
     checks_ok = table.antisymmetry_check() and table.eigenvector_check() and table.jacobi_check()
     lines = [
         f"dim {table.dimension}, positive roots {len(table.positive_root_labels)}, "
@@ -167,11 +174,11 @@ def cmd_algebra(args) -> int:
 def cmd_embedding(args) -> int:
     if args.action in ("project", "inject"):
         if args.weight is None:
-            raise SystemExit(f"embedding {args.action} requires --weight")
+            _reject(f"embedding {args.action} requires --weight")
         try:
             w = parse_weight(args.weight)
         except ValueError as exc:
-            raise SystemExit(str(exc))
+            _reject(str(exc))
     if args.action == "project":
         from .embedding import project_weight
 
@@ -224,13 +231,13 @@ def cmd_parabolic(args) -> int:
     try:
         mask = tuple(int(x) for x in args.mask.split(","))
     except ValueError:
-        raise SystemExit(f"cannot parse mask {args.mask!r}")
+        _reject(f"cannot parse mask {args.mask!r}")
     so7 = build_so_odd(3)
     table = so7 if args.algebra == "so7" else embed_g2(so7).g2
     try:
         p = parabolic(table, mask)
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        _reject(str(exc))
     text = (
         f"levi roots: {', '.join(str(l) for l in p.levi_root_labels)}\n"
         f"nilradical: {', '.join(str(l) for l in p.nilradical_labels)}\n"
@@ -242,6 +249,8 @@ def cmd_parabolic(args) -> int:
 
 def cmd_hilbert(args) -> int:
     L = args.max_degree
+    if L < 0:
+        _reject("max-degree must be non-negative")
     if L == 0:
         text = "b(0,0) = 1"
         payload = {
@@ -273,7 +282,7 @@ def cmd_singular(args) -> int:
         return EXIT_OK
     if args.scan:
         if not args.max_degree:
-            raise SystemExit("--scan requires --max-degree")
+            _reject("--scan requires --max-degree")
         rows = []
         for d in range(1, args.max_degree + 1):
             if d % 2 == 0:
@@ -298,10 +307,10 @@ def cmd_singular(args) -> int:
         _emit(args, lambda: text, payload=lambda: payload)
         return EXIT_OK
     if args.homogeneity is None:
-        raise SystemExit("one of --homogeneity, --scan, --show-operator is required")
+        _reject("one of --homogeneity, --scan, --show-operator is required")
     d = args.homogeneity
     if d < 1:
-        raise SystemExit("homogeneity must be positive")
+        _reject("homogeneity must be positive")
     if d % 2 == 1:
         rep = solve_odd(ctx, (d - 1) // 2)
         if rep.empty_for_all_lambda:
@@ -333,11 +342,11 @@ def cmd_singular(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.degree < 0:
-        raise SystemExit("degree must be non-negative")
+        _reject("degree must be non-negative")
     try:
         lam = rational_from_string(getattr(args, "lambda"))
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        _reject(str(exc))
     ctx = SolverContext()
     anns = (
         pprime_annihilators(ctx.emb)

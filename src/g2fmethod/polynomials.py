@@ -31,10 +31,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def term_sort_key(m: Monomial):
     """Graded lex, biggest first when sorting with reverse=True."""
     return (sum(m), m)

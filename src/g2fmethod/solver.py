@@ -7,20 +7,24 @@ its invariants are generated by
     x3                        (degree 1, grading -2)
 
 so a homogeneous invariant of degree d is a combination of I1^k x3^(d-2k).
-Applying the degree-lowering operator of the embedded nilradical generator
-to such a combination and collecting raw monomial coefficients yields a
-linear system over the parameter ring; its parametric kernel classifies the
-singular vectors.  Certificates carry both the polynomial and the
-enveloping-algebra form plus every verification outcome.
+The degree-lowering operator D of the embedded nilradical generator is of
+second order, so by the chain rule its action on such a combination follows
+from five polynomials: D(I1), D(x3) and G(f, g) = (D(fg) - f D(g) - g D(f))/2
+for f, g in {I1, x3}.  Each lies in x4 Q[L][I1, x3] + x5 Q[L][I1, x3], so
+the lowered combination has coordinates of that form, and setting them to
+zero is a linear system over the parameter ring with O(d) entries; its
+parametric kernel classifies the singular vectors.  Certificates carry both
+the polynomial and the enveloping-algebra form plus every verification
+outcome.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from .embedding import Embedding
 from .fourier import extract_diffop, sl2_triple_ops, verma_from_xi
@@ -37,8 +41,8 @@ from .liealg import (
 )
 from .linsolve import kernel_basis, param_solve, rank
 from .operators import DiffOperator, op_apply
-from .polynomials import NVARS, Monomial, XiPolynomial, pack_monomial, unpack_monomial
-from .scalars import LAMBDA, ZERO, LambdaPoly, integer_layers, rational_to_string
+from .polynomials import Monomial, XiPolynomial
+from .scalars import LAMBDA, ZERO, LambdaPoly, rational_to_string
 from .verma import VermaModule, VermaVector
 
 I1 = XiPolynomial({(1, 0, 0, 1, 0): LambdaPoly.const(1), (0, 1, 0, 0, 1): LambdaPoly.const(1)})
@@ -47,36 +51,28 @@ LAPLACE_DUAL = I1 * 4 + X3 * X3  # 4(x1 x4 + x2 x5) + x3^2
 
 
 class SolverContext:
-    """Shared construction state: algebra, embedding, module, operators."""
+    """Shared construction state: algebra, embedding, module, and the
+    operators, each built on first use."""
 
     def __init__(self, emb: Optional[Embedding] = None):
         from .embedding import embed_g2
 
         self.emb = emb or embed_g2()
         self.module = VermaModule(self.emb.so7)
-        self._lowering_op: Optional[DiffOperator] = None
-        self._sl2: Optional[Tuple[DiffOperator, DiffOperator, DiffOperator]] = None
-        self._lowering_moves: Optional[Tuple[List[OperatorMove], int]] = None
 
-    @property
+    @cached_property
     def lowering_op(self) -> DiffOperator:
         """Fourier-dual operator of the embedded nilradical generator."""
-        if self._lowering_op is None:
-            self._lowering_op = extract_diffop(self.module, self.emb.gen(1), 2)
-        return self._lowering_op
+        return extract_diffop(self.module, self.emb.gen(1), 2)
 
-    @property
-    def lowering_moves(self) -> Tuple[List[OperatorMove], int]:
-        """The lowering operator compiled to integer moves, on first use."""
-        if self._lowering_moves is None:
-            self._lowering_moves = _compile_operator(self.lowering_op)
-        return self._lowering_moves
+    @cached_property
+    def chain_rule(self) -> ChainRule:
+        """The lowering operator's five chain-rule polynomials."""
+        return chain_rule_data(self.lowering_op)
 
-    @property
-    def sl2_ops(self):
-        if self._sl2 is None:
-            self._sl2 = sl2_triple_ops(self.module, self.emb)
-        return self._sl2
+    @cached_property
+    def sl2_ops(self) -> Tuple[DiffOperator, DiffOperator, DiffOperator]:
+        return sl2_triple_ops(self.module, self.emb)
 
 
 # ---------------------------------------------------------------------------
@@ -307,151 +303,87 @@ class SingularCertificate:
         return self.xi_polynomial.to_latex()
 
 
-OperatorMove = Tuple[Tuple[Tuple[int, int], ...], Monomial, Tuple[int, ...]]
+# The five chain-rule polynomials D(I1), D(x3), G(I1,I1), G(I1,x3), G(x3,x3),
+# each as {(f, s, t): c} for  sum c x_f I1^s x3^t,  f = 4 or 5
+ChainRule = Tuple[Dict[Tuple[int, int, int], LambdaPoly], ...]
 
 
-def _compile_operator(D: DiffOperator) -> Tuple[List[OperatorMove], int]:
-    """A normal-ordered operator as integer moves and their denominator.
+def chain_rule_data(D: DiffOperator) -> ChainRule:
+    """D(I1), D(x3) and  G(f, g) = (D(fg) - f D(g) - g D(f)) / 2  for f, g
+    in {I1, x3}, computed with ``op_apply``, in invariant coordinates.
 
-    Each term  c * x^a * d^b  becomes  (derivative orders, a - b, layers):
-    the orders are the (position, order) pairs of b, and the layers are the
-    coefficients of the powers of the parameter in c, times the least
-    common denominator ``den`` of all of them, one ``int`` per power.
+    D(1) must be 0, and each polynomial must lie in  x4 Q[L][I1, x3] +
+    x5 Q[L][I1, x3]: the x4 family's monomials have one more x4 than x1, the
+    x5 family's as many.  The one term of  x_f I1^s x3^t  free of x2 is
+    x_f x1^s x3^t x4^s, so the coordinates are read off those terms, and
+    must give the polynomial back.  Otherwise a ``ValueError`` names it.
     """
-    layers, den = integer_layers(D.terms.values())
-    moves = []
-    for (xm, dm), c in zip(D.terms, layers):
-        orders = tuple((i, k) for i, k in enumerate(dm) if k)
-        delta = tuple(x - d for x, d in zip(xm, dm))
-        moves.append((orders, delta, tuple(c)))
-    return moves, den
+    one = op_apply(D, XiPolynomial.constant(1))
+    if one:
+        raise ValueError(f"D(1) = {one} is not zero")
+    d_i1, d_x3 = op_apply(D, I1), op_apply(D, X3)
+    half = Fraction(1, 2)
+    data = []
+    for name, p in (("D(I1)", d_i1), ("D(x3)", d_x3),
+                    ("G(I1,I1)", (op_apply(D, I1 * I1) - I1 * d_i1 * 2) * half),
+                    ("G(I1,x3)", (op_apply(D, I1 * X3) - I1 * d_x3 - X3 * d_i1) * half),
+                    ("G(x3,x3)", (op_apply(D, X3 * X3) - X3 * d_x3 * 2) * half)):
+        coords = {(4 + e5, e1, e3): c for (e1, e2, e3, e4, e5), c in p.terms.items()
+                  if e2 == 0 and (e4 - e1, e5) in ((1, 0), (0, 1))}
+        if sum((XiPolynomial.variable(f) * I1 ** s * X3 ** t * c for (f, s, t), c in coords.items()),
+               XiPolynomial()) != p:
+            raise ValueError(f"{name} = {p} lies outside x4*Q[L][I1,x3] + x5*Q[L][I1,x3]")
+        data.append(coords)
+    return tuple(data)
 
 
-def _collect_system(ctx: SolverContext, basis: Sequence[XiPolynomial]):
-    """Raw monomial coefficients of the lowered basis images, one row per
-    monomial, with rows that repeat an earlier one up to a rational factor
-    left out.
+def _collect_system(ctx: SolverContext, d: int):
+    """The lowered degree-d invariants as a linear system in invariant
+    coordinates.  Column k is  I1^a x3^b,  a = k, b = d - 2k, and as the
+    lowering operator D is of second order,
+        D(I1^a x3^b) = a D(I1) I1^(a-1) x3^b + b D(x3) I1^a x3^(b-1)
+                       + a(a-1) G(I1,I1) I1^(a-2) x3^b
+                       + 2ab G(I1,x3) I1^(a-1) x3^(b-1)
+                       + b(b-1) G(x3,x3) I1^a x3^(b-2),
+    a sum of  c x_f I1^i x3^j  by ``ctx.chain_rule``.  These have disjoint
+    monomial supports, and the row labelled (f, i, j), the coefficients c,
+    is the row of  x_f x1^i x3^j x4^i  of the lowered images; every other
+    monomial row is C(i, p) times one of these, so the kernel at every
+    parameter value is that of the monomial system.
 
-    Returns (dense rows, their monomials); the column j is basis element j,
-    and the monomials run in descending term order.  A row is kept unless it
-    is a rational-constant multiple of an earlier one: such rows have the
-    same zeros at every parameter value, so the kernel is the same at every
-    value.  No row is divided by a polynomial in the parameter: a row
-    proportional to another only over the rational functions stays, since at
-    a root of the factor it vanishes and the other does not.  The even
-    system keeps 2N of its N(N+1) rows.
-
-    The rows are streamed.  The lowering operator is compiled once per
-    context (``_compile_operator``), monomials are packed into ``int`` codes
-    that sort in term order, and the basis is indexed by code, its
-    coefficients scaled to integers by one common denominator as they are
-    read.  The row codes come in descending order from a merge of the
-    sorted basis codes shifted by each offset of the operator; each row is
-    pulled from the index as integer layers, one per power of the
-    parameter, and is dropped unless it is kept, so the whole system is
-    never held.  A row's key is the row made primitive, sign fixed by the
-    leading layer of its first entry, so two rows share a key exactly when
-    one is a rational multiple of the other; only the kept rows get
-    ``LambdaPoly`` entries.
+    Returns (dense rows, labels (f, i, j)), vanishing rows left out and the
+    rest in descending term order of  x_f x1^i x3^j x4^i: 2N rows for d = 2N.
     """
-    # a stand-in context that only carries ``lowering_op`` compiles it per call
-    moves, op_den = getattr(ctx, "lowering_moves", None) or _compile_operator(ctx.lowering_op)
-    base_den = math.lcm(*(q.denominator for p in basis for c in p.terms.values() for q in c.coeffs))
-    top = max((e for p in basis for m in p.terms for e in m), default=0)
-    w = (top + max((d for _, delta, _ in moves for d in delta), default=0)).bit_length() or 1
-    mask = (1 << w) - 1
-    # the moves by offset: each is (derivative orders as (field shift, order), layers)
-    by_offset: Dict[int, List[Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]]] = {}
-    for orders, delta, layers in moves:
-        by_offset.setdefault(pack_monomial(delta, w), []).append(
-            (tuple(((NVARS - 1 - i) * w, k) for i, k in orders), layers))
-    size = max((len(layers) for _, _, layers in moves), default=1) + max(
-        (len(c.coeffs) for p in basis for c in p.terms.values()), default=1) - 1
-    # monomial code -> (column, coefficient) of the first column holding it,
-    # and every such pair for the codes held by more than one column
-    index: Dict[int, Tuple[int, LambdaPoly]] = {}
-    shared: Dict[int, List[Tuple[int, LambdaPoly]]] = {}
-    for j, p in enumerate(basis):
-        for m, c in p.terms.items():
-            code = pack_monomial(m, w)
-            first = index.setdefault(code, (j, c))
-            if first[0] != j:
-                shared.setdefault(code, [first]).append((j, c))
-    codes = sorted(index, reverse=True)
-
-    def rows() -> Iterator[Tuple[int, Dict[int, List[int]]]]:
-        """(code, {column: integer layers}) of each code the moves can reach,
-        in descending order.  Adding an offset keeps the basis codes sorted,
-        so the candidates are the sorted code list shifted by each distinct
-        offset, merged; a candidate no move reaches (a move that does not
-        apply to its source) gets no entry and is dropped by the caller."""
-        last = None
-        for t in heapq.merge(*(map(off.__add__, codes) for off in by_offset), reverse=True):
-            if t == last:
-                continue
-            last = t
-            row: Dict[int, List[int]] = {}
-            for off, group in by_offset.items():
-                source = t - off
-                first = index.get(source)
-                if first is None:
-                    continue
-                for orders, layers in group:
-                    f = 1
-                    for shift, k in orders:
-                        f *= math.perm((source >> shift) & mask, k)
-                    if not f:
-                        continue
-                    for j, c in shared.get(source, (first,)):
-                        acc = row.get(j)
-                        if acc is None:
-                            acc = row[j] = [0] * size
-                        for p, a in enumerate(layers):
-                            for q, b in enumerate(c.coeffs):
-                                acc[p + q] += f * a * (b.numerator * (base_den // b.denominator))
-            yield t, row
-
-    den = op_den * base_den
-    width = len(basis)
-    seen = set()
-    matrix, monomials = [], []
-    for t, row in rows():
-        entries = sorted((j, acc) for j, acc in row.items() if any(acc))
-        if not entries:
-            continue
-        for _, acc in entries:
-            while not acc[-1]:
-                acc.pop()
-        g = math.gcd(*(a for _, acc in entries for a in acc))
-        if entries[0][1][-1] < 0:
-            g = -g
-        key = tuple((j, tuple(a // g for a in acc)) for j, acc in entries)
-        if key in seen:
-            continue
-        seen.add(key)
-        dense = [ZERO] * width
-        for j, acc in entries:
-            dense[j] = LambdaPoly._of_layers(acc, den)
-        matrix.append(dense)
-        monomials.append(unpack_monomial(t, w))
-    return matrix, monomials
+    width = d // 2 + 1
+    rows: Dict[Tuple[int, int, int], Dict[int, LambdaPoly]] = {}
+    for k in range(width):
+        a, b = k, d - 2 * k
+        for n, poly, s, t in zip((a, b, a * (a - 1), 2 * a * b, b * (b - 1)), ctx.chain_rule,
+                                 (a - 1, a, a - 2, a - 1, a), (b, b - 1, b, b - 1, b - 2)):
+            if n:
+                for (f, i, j), c in poly.items():
+                    row = rows.setdefault((f, s + i, t + j), {})
+                    row[k] = row.get(k, ZERO) + c * n
+    # x_f x1^i x3^j x4^i has degree 2i + j + 1, and in a tie x4 beats x5
+    labels = sorted((key for key, row in rows.items() if any(row.values())),
+                    key=lambda key: (2 * key[1] + key[2], key[1], key[2], key[0] == 4), reverse=True)
+    return [[rows[key].get(k, ZERO) for k in range(width)] for key in labels], labels
 
 
 def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[SingularCertificate]:
     """Certificate for homogeneity 2N, or None when no parameter works.
 
-    The linear system comes from generic coefficient collection, not from
-    any closed recursion: ``_collect_system`` keeps one row of each set of
-    rows that are rational multiples of each other, 2N of the N(N+1), which
-    leaves the kernel at every parameter value as it was.  The parametric
-    kernel must consist of a single rational parameter value with a
+    The linear system is the chain rule on the invariants I1, x3
+    (``_collect_system``): 2N rows, one per invariant coordinate of the
+    lowered image, in place of the N(N+1) monomial rows, each a rational
+    multiple of one of them, which leaves the kernel at every parameter
+    value as it was.  The parametric kernel must consist of a single rational parameter value with a
     one-dimensional kernel.  The certificate polynomial  sum_s A_s I1^s
     x3^(2N-2s)  is summed into one term dict.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    basis = invariant_monomial_basis(2 * N)      # I1^k x3^(2N-2k), k = 0..N
-    result = param_solve(_collect_system(ctx, basis)[0])     # the matrix is not kept
+    result = param_solve(_collect_system(ctx, 2 * N)[0])     # the matrix is not kept
     if result.identically_singular or len(result.solutions) != 1:
         return None
     lam, kernels = result.solutions[0]
@@ -463,6 +395,7 @@ def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[Sing
     if a0 == 0:
         return None
     coefficients = [c / a0 for c in vec]
+    basis = invariant_monomial_basis(2 * N)      # I1^k x3^(2N-2k), k = 0..N
     # the basis is consumed as the sum is built, so the two are not held at once;
     # its elements have disjoint supports (distinct x3 powers), so each term is
     # one constant product, and equal products are one shared LambdaPoly
@@ -515,9 +448,7 @@ def solve_odd(ctx: SolverContext, N: int) -> OddReport:
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    basis = invariant_monomial_basis(2 * N + 1)      # I1^k x3^(2N+1-2k), k = 0..N
-    matrix, _ = _collect_system(ctx, basis)
-    result = param_solve(matrix)
+    result = param_solve(_collect_system(ctx, 2 * N + 1)[0])
     empty = (not result.identically_singular) and not result.solutions and not result.unresolved_factors
     return OddReport(
         N=N,

@@ -202,8 +202,8 @@ def test_oracle_empty_is_exit_one(capsys):
 def test_oracle_negative_degree_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", "--degree", "-1", "--lambda=1/2"])
-    assert str(exc.value) == "degree must be non-negative"
-    assert capsys.readouterr().out == ""
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "degree must be non-negative\n")
 
 
 def test_oracle_json(capsys):
@@ -244,8 +244,8 @@ def test_weight_parse_errors(capsys):
 def test_embedding_rejects_unparsed_weight(capsys, action):
     with pytest.raises(SystemExit) as exc:
         cli.main(["embedding", action, "--weight", "eps1?eps2"])
-    assert str(exc.value) == "cannot parse weight 'eps1?eps2'"
-    assert capsys.readouterr().out == ""
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "cannot parse weight 'eps1?eps2'\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -256,22 +256,23 @@ def test_embedding_rejects_unparsed_weight(capsys, action):
     (["oracle", "--degree", "2", "--lambda=1/0"], "zero denominator: '1/0'"),
     (["oracle", "--degree", "2", "--lambda=x"], "not a rational: 'x'"),
     (["algebra", "--n", "1"], "rank must be at least 2"),
+    (["hilbert", "--max-degree", "-2"], "max-degree must be non-negative"),
 ])
 def test_bad_input_is_a_one_line_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
-    assert str(exc.value) == message
-    assert capsys.readouterr().out == ""
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"{message}\n")
 
 
-def test_bad_input_exits_one_with_empty_stdout():
+def test_bad_input_exits_usage_with_empty_stdout():
     import subprocess
     import sys
 
     for argv in (["embedding", "project"], ["parabolic", "--algebra", "so7", "--mask", "1,x"],
                  ["oracle", "--degree", "2", "--lambda=1/0"], ["algebra", "--n", "1"]):
         proc = subprocess.run([sys.executable, "-m", "g2fmethod", *argv], capture_output=True, text=True)
-        assert proc.returncode == 1, argv
+        assert proc.returncode == cli.EXIT_USAGE, argv
         assert proc.stdout == "", argv
         assert len(proc.stderr.strip().splitlines()) == 1, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv

@@ -1,23 +1,23 @@
 import gc
 import json
 import math
-import random
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from g2fmethod.liealg import alpha_weight, eps_weight
 from g2fmethod.linsolve import param_solve
 from g2fmethod.operators import DiffOperator, op_apply
-from g2fmethod.polynomials import XiPolynomial, parse_xi_polynomial, term_sort_key
+from g2fmethod.polynomials import parse_xi_polynomial, term_sort_key
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 from g2fmethod.solver import (
     I1,
     LAPLACE_DUAL,
     X3,
+    SolverContext,
     _collect_system,
+    chain_rule_data,
     hilbert_closed_form,
     hilbert_multiplicity,
     hilbert_series_check,
@@ -294,43 +294,21 @@ def test_invariant_basis_matches_powers():
 
 def test_even_system_keeps_2N_rows(ctx):
     for N in range(1, 13):
-        matrix, monomials = _collect_system(ctx, invariant_monomial_basis(2 * N))
-        assert len(matrix) == len(monomials) == 2 * N
+        matrix, labels = _collect_system(ctx, 2 * N)
+        assert len(matrix) == len(labels) == 2 * N
         assert len(_full_system(ctx, invariant_monomial_basis(2 * N))) == N * (N + 1)
         assert all(len(row) == N + 1 for row in matrix)
 
 
 def test_reduced_system_solves_like_the_full_one(ctx):
-    cases = [2 * N for N in range(1, 13)] + [2 * N + 1 for N in range(0, 11)]
-    for d in cases:
-        basis = invariant_monomial_basis(d)
-        reduced, _ = _collect_system(ctx, basis)
-        full = _full_system(ctx, basis)
+    for d in range(1, 41):
+        reduced, _ = _collect_system(ctx, d)
+        full = _full_system(ctx, invariant_monomial_basis(d))
         a, b = param_solve(reduced), param_solve(full)
         assert a.solutions == b.solutions, d
         assert a.identically_singular == b.identically_singular, d
         assert a.unresolved_factors == b.unresolved_factors, d
         assert a.lambdas == ([F(d - 5, 2)] if d % 2 == 0 else [])
-
-
-def test_rows_proportional_only_over_the_parameter_field_are_kept():
-    # the identity operator makes each basis element its own image, so the
-    # rows are read off the basis: x1^2: (0, 3L), x1: (1, L), x2: (L+1, L^2+L),
-    # x3: (-2, -2L), x4: (2L+2, 2L^2+2L), x5: (0, L)
-    one, lam = LambdaPoly.const(1), LAMBDA
-
-    def e(i, k=1):
-        return tuple(k if j == i else 0 for j in range(5))
-
-    p0 = XiPolynomial({e(0): one, e(1): lam + 1, e(2): LambdaPoly.const(-2), e(3): lam * 2 + 2})
-    p1 = XiPolynomial({e(0, 2): lam * 3, e(0): lam, e(1): lam * lam + lam, e(2): lam * -2,
-                       e(3): (lam * lam + lam) * 2, e(4): lam})
-    identity = SimpleNamespace(lowering_op=DiffOperator.constant(1))
-    matrix, monomials = _collect_system(identity, [p0, p1])
-    # x3 is -2 times x1 and x4 twice x2: dropped; x5 is a third of x1^2:
-    # dropped, the first of the two kept; x2 is (L+1) times x1: kept
-    assert monomials == [e(0, 2), e(0), e(1)]
-    assert matrix == [[LambdaPoly(), lam * 3], [one, lam], [lam + 1, lam * lam + lam]]
 
 
 def test_solve_even_homogeneity_80_checks(ctx):
@@ -345,13 +323,14 @@ def test_solve_even_homogeneity_80_checks(ctx):
     assert all(bools.values()), bools
 
 
-# -- the streamed collection against the earlier one -----------------------------
+# -- the chain-rule system against the monomial collection ------------------------
 
 
 def _reference_collect(ctx, basis):
-    """The collection as computed before it was streamed: every image over
-    ``LambdaPoly`` through ``op_apply``, all rows held, each keyed by its
-    entries divided by the leading coefficient of its first entry."""
+    """The system as collected from monomials: every image over
+    ``LambdaPoly`` through ``op_apply``, one row per monomial, each row
+    kept unless it repeats an earlier one up to a rational factor (keyed by
+    its entries divided by the leading coefficient of its first entry)."""
     sparse = {}
     for j, p in enumerate(basis):
         for m, c in op_apply(ctx.lowering_op, p).terms.items():
@@ -370,46 +349,65 @@ def _reference_collect(ctx, basis):
     return matrix, monomials
 
 
-def test_streamed_collection_matches_reference(ctx):
-    degrees = [2 * N for N in range(1, 13)] + [2 * N + 1 for N in range(0, 11)]
-    for d in degrees:
-        basis = invariant_monomial_basis(d)
-        assert _collect_system(ctx, basis) == _reference_collect(ctx, basis), d
+def _proportional(u, v):
+    """Whether the nonzero rows u and v are rational multiples of each other."""
+    j = next(j for j, c in enumerate(u) if c)
+    if not v[j]:
+        return False
+    r = v[j].leading() / u[j].leading()
+    return all(b == a * r for a, b in zip(u, v))
 
 
-def test_streamed_collection_matches_reference_on_parameter_coefficients(ctx):
-    # degree-2 parameter coefficients with denominators, overlapping supports,
-    # and a multiple of an earlier element, so rows cancel and repeat
-    rng = random.Random(5)
-    for _ in range(12):
-        basis = []
-        for _ in range(rng.randint(2, 5)):
-            terms = {}
-            for _ in range(rng.randint(1, 6)):
-                d = rng.randint(0, 6)
-                cuts = sorted(rng.randint(0, d) for _ in range(4))
-                m = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
-                terms[m] = LambdaPoly([F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
-                                       for _ in range(3)])
-            basis.append(XiPolynomial(terms))
-        basis.append(basis[0] * F(-3, 7) + basis[-1] * LAMBDA)
-        identity = SimpleNamespace(lowering_op=DiffOperator.constant(1))
-        assert _collect_system(ctx, basis) == _reference_collect(ctx, basis)
-        assert _collect_system(identity, basis) == _reference_collect(identity, basis)
+def _rows_match_reference(ctx, d):
+    """Every chain-rule row is a rational multiple of a row of the monomial
+    collection, and every row of the collection one of a chain-rule row."""
+    rows, _ = _collect_system(ctx, d)
+    reference, _ = _reference_collect(ctx, invariant_monomial_basis(d))
+    return (all(any(_proportional(r, s) for s in reference) for r in rows)
+            and all(any(_proportional(s, r) for r in rows) for s in reference))
 
 
-def test_streamed_collection_peak_memory_at_homogeneity_120(ctx):
-    basis = invariant_monomial_basis(120)
-    ctx.lowering_moves                      # compiled once per context, not per call
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        matrix, _ = _collect_system(ctx, basis)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert len(matrix) == 120
-    assert peak <= 1.5e6, peak
+def test_chain_rule_rows_match_the_monomial_collection(ctx):
+    for d in range(1, 41):
+        assert _rows_match_reference(ctx, d), d
+
+
+def test_chain_rule_polynomials_pinned(ctx):
+    # D(I1) = -x3 x5 + (L+1) x4,  D(x3) = 2 x5,  G(I1,I1) = -I1 x4,
+    # G(I1,x3) = -x3 x4 / 2,  G(x3,x3) = x4
+    assert ctx.chain_rule == (
+        {(4, 0, 0): LAMBDA + 1, (5, 0, 1): LambdaPoly.const(-1)},
+        {(5, 0, 0): LambdaPoly.const(2)},
+        {(4, 1, 0): LambdaPoly.const(-1)},
+        {(4, 0, 1): LambdaPoly.const(F(-1, 2))},
+        {(4, 0, 0): LambdaPoly.const(1)},
+    )
+    assert chain_rule_data(ctx.lowering_op) == ctx.chain_rule
+
+
+def test_scaled_chain_rule_coefficient_is_caught(ctx, monkeypatch):
+    data = ctx.chain_rule
+    for n, poly in enumerate(data):
+        for key in poly:
+            scaled = [dict(p) for p in data]
+            scaled[n][key] = poly[key] * 2
+            monkeypatch.setattr(ctx, "chain_rule", tuple(scaled))
+            assert not all(_rows_match_reference(ctx, d) for d in range(1, 9)), (n, key)
+    monkeypatch.undo()
+    assert ctx.chain_rule is data
+
+
+@pytest.mark.parametrize("op, message", [
+    (DiffOperator.constant(1), "D(1) = 1 is not zero"),
+    (DiffOperator.term((1, 0, 0, 0, 0), (1, 0, 0, 0, 0)),
+     "D(I1) = x1*x4 lies outside x4*Q[L][I1,x3] + x5*Q[L][I1,x3]"),
+], ids=["constant", "x1*d1"])
+def test_operator_outside_the_invariant_form_is_refused(ctx, op, message):
+    stand_in = SolverContext(ctx.emb)
+    stand_in.lowering_op = op
+    with pytest.raises(ValueError) as exc:
+        _collect_system(stand_in, 4)
+    assert str(exc.value) == message
 
 
 # -- perturbed certificates fail the deduplicated checks --------------------------
