@@ -60,6 +60,14 @@ def _reject(message: str) -> NoReturn:
     raise SystemExit(EXIT_USAGE)
 
 
+def _require_form(args, *forms: str) -> None:
+    """Refuse a ``--format`` outside ``forms`` before any work is done, as
+    ``_emit`` would after it."""
+    fmt = getattr(args, "format", "text")
+    if fmt not in forms:
+        _reject(f"no {fmt} form for this command")
+
+
 def _emit(args, text: Callable[[], str], payload: Optional[Callable[[], dict]] = None,
           latex: Optional[Callable[[], str]] = None, dot: Optional[Callable[[], str]] = None) -> None:
     """Write the one form ``--format`` asks for to stdout or ``--out``.
@@ -179,6 +187,8 @@ def cmd_embedding(args) -> int:
             w = parse_weight(args.weight)
         except ValueError as exc:
             _reject(str(exc))
+    if args.action != "lattice":
+        _require_form(args, "text", "json")
     if args.action == "project":
         from .embedding import project_weight
 
@@ -251,6 +261,8 @@ def cmd_hilbert(args) -> int:
     L = args.max_degree
     if L < 0:
         _reject("max-degree must be non-negative")
+    if args.t is not None and args.t < 0:
+        _reject("t must be non-negative")
     if L == 0:
         text = "b(0,0) = 1"
         payload = {
@@ -275,14 +287,17 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    ctx = SolverContext()
     if args.show_operator:
-        op = ctx.lowering_op
+        op = SolverContext().lowering_op
         _emit(args, lambda: str(op), payload=lambda: {"operator": str(op)}, latex=op.to_latex)
         return EXIT_OK
     if args.scan:
         if not args.max_degree:
             _reject("--scan requires --max-degree")
+        if args.max_degree < 0:
+            _reject("max-degree must be positive")
+        _require_form(args, "text", "json")
+        ctx = SolverContext()
         rows = []
         for d in range(1, args.max_degree + 1):
             if d % 2 == 0:
@@ -312,7 +327,8 @@ def cmd_singular(args) -> int:
     if d < 1:
         _reject("homogeneity must be positive")
     if d % 2 == 1:
-        rep = solve_odd(ctx, (d - 1) // 2)
+        _require_form(args, "text", "json")
+        rep = solve_odd(SolverContext(), (d - 1) // 2)
         if rep.empty_for_all_lambda:
             _emit(
                 args,
@@ -323,7 +339,7 @@ def cmd_singular(args) -> int:
             return EXIT_NO_RESULT
         _emit(args, lambda: "unexpected odd-homogeneity solution candidates", payload=rep.to_json)
         return EXIT_CHECK_FAILED
-    cert = solve_even(ctx, d // 2)
+    cert = solve_even(SolverContext(), d // 2)
     if cert is None:
         _emit(args, lambda: f"no singular vector of homogeneity {d}")
         return EXIT_NO_RESULT

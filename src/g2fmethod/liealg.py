@@ -615,7 +615,7 @@ def positive_combination(
             return None
         target.append(int(c))
     items = sorted(roots, key=lambda t: t[0])
-    cones = [_cone_functionals([coords for _, coords in items[pos:]], len(target))
+    cones = [_cone_functionals(tuple(tuple(coords) for _, coords in items[pos:]), len(target))
              for pos in range(len(items))]
 
     def dfs(pos: int, remaining: Tuple[int, ...]) -> Optional[Dict[int, int]]:
@@ -648,8 +648,11 @@ def positive_combination(
     return dfs(0, tuple(target))
 
 
-def _cone_functionals(gens: Sequence[Tuple[int, ...]], n: int) -> List[Tuple[int, ...]]:
-    """Integer functionals f with f(g) >= 0 for every g in ``gens``.
+@functools.lru_cache(maxsize=None)
+def _cone_functionals(gens: Tuple[Tuple[int, ...], ...], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Integer functionals f with f(g) >= 0 for every g in ``gens``,
+    remembered per generator tuple: the verdicts search over the same few
+    root lists at every parameter value.
 
     Candidates are the unit vectors, the generators themselves and, in
     dimension 2, the normal of each generator and unit vector, in dimension
@@ -671,7 +674,7 @@ def _cone_functionals(gens: Sequence[Tuple[int, ...]], n: int) -> List[Tuple[int
     for f in normals + units:
         candidates.add(tuple(f))
         candidates.add(tuple(-x for x in f))
-    return sorted(f for f in candidates if any(f) and all(_dot(f, g) >= 0 for g in gens))
+    return tuple(sorted(f for f in candidates if any(f) and all(_dot(f, g) >= 0 for g in gens)))
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .embedding import Embedding
@@ -379,7 +379,9 @@ def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[Sing
     multiple of one of them, which leaves the kernel at every parameter
     value as it was.  The parametric kernel must consist of a single rational parameter value with a
     one-dimensional kernel.  The certificate polynomial  sum_s A_s I1^s
-    x3^(2N-2s)  is summed into one term dict.
+    x3^(2N-2s)  is written term by term into one dict, with no invariant
+    basis built: the term of  (x1 x4)^i (x2 x5)^(s-i) x3^(2N-2s)  is
+    A_s C(s, i), one product per mirror pair i, s - i.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -395,15 +397,13 @@ def solve_even(ctx: SolverContext, N: int, verify: bool = True) -> Optional[Sing
     if a0 == 0:
         return None
     coefficients = [c / a0 for c in vec]
-    basis = invariant_monomial_basis(2 * N)      # I1^k x3^(2N-2k), k = 0..N
-    # the basis is consumed as the sum is built, so the two are not held at once;
-    # its elements have disjoint supports (distinct x3 powers), so each term is
-    # one constant product, and equal products are one shared LambdaPoly
+    # C(k, i) = C(k, k - i); equal products are one shared LambdaPoly
     terms: Dict[Monomial, LambdaPoly] = {}
     shared: Dict[Fraction, LambdaPoly] = {}
-    for a in coefficients:
-        for m, c in basis.pop(0).terms.items():
-            terms[m] = _shared_const(shared, c.constant_value() * a)
+    for k, a in enumerate(coefficients):
+        products = [_shared_const(shared, a * math.comb(k, i)) for i in range(k // 2 + 1)]
+        for i in range(k + 1):
+            terms[(i, k - i, 2 * N - 2 * k, i, k - i)] = products[min(i, k - i)]
     poly = XiPolynomial._of_terms(terms)
     cert = SingularCertificate(
         homogeneity_half=N,
@@ -536,16 +536,20 @@ PRINTED_G2_DIFFERENCE = WeightVec(
 )
 
 
+@cache
 def symbolic_so7_difference() -> WeightVec:
-    """s_{eps3}(lam eps1 + rho_l) - ((-lam-5) eps1 + rho_l), symbolically."""
+    """s_{eps3}(lam eps1 + rho_l) - ((-lam-5) eps1 + rho_l), symbolically;
+    computed once, as every verdict evaluates it."""
     eps1 = eps_weight((1, 0, 0))
     w = eps1.scale(LAMBDA) + RHO_LEVI_SO7
     target = eps1.scale(-LAMBDA - 5) + RHO_LEVI_SO7
     return reflect(w, eps_weight((0, 0, 1))) - target
 
 
+@cache
 def symbolic_g2_difference(simple_root_index: int) -> WeightVec:
-    """The rank-2 analog, reflecting in the chosen simple root (1 or 2)."""
+    """The rank-2 analog, reflecting in the chosen simple root (1 or 2);
+    computed once per root."""
     psi1 = g2_psi(1)
     w = psi1.scale(LAMBDA) + RHO_LEVI_G2
     root = alpha_weight((1, 0)) if simple_root_index == 1 else alpha_weight((0, 1))

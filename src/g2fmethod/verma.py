@@ -34,17 +34,25 @@ code.  A monomial is packed into one ``int`` with its degree in the
 top field and one field per exponent, the field width taken from the
 input's largest exponent, so a move is one addition to the code and one
 multiply-add of coefficients.  Over ``LambdaPoly`` this is the symbolic
-action; at a rational parameter value the coefficients are evaluated there,
-scaled to integers by one common denominator, and the sums are Python
-``int``s, divided once at the end (or only tested for zero, by the
-certificate checks).
+action (``_apply``, which ``singular_search`` also runs on one monomial at
+a time with integer coefficients).  At a rational parameter value the
+coefficients are evaluated there and scaled to integers by one common
+denominator, and the vector is acted on in columns (``_final_slabs``): its
+terms are grouped into slabs of one (x1 exponent, degree), each a column of
+packed codes, one of integer values and five of exponents; the moves of one
+exponent change scale the values by their summed multipliers, and the
+Python ``int`` sums are held for a window of output slabs, each handed on
+(divided once, or only tested for zero by the certificate checks) as soon
+as no later input slab can reach it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from operator import add, mul, sub
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .liealg import Element, Label, StructureTable, WeightVec, eps_weight
 from .linsolve import kernel_basis
@@ -61,8 +69,12 @@ from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, Scalar
 
 # a move (i, j, delta): derivative positions (-1 for none) and exponent change
 Move = Tuple[int, int, Monomial]
-# compiled moves sharing their derivative positions: (i, j, ((offset, coefficient), ...))
-Group = Tuple[int, int, Tuple[Tuple[int, Scalar], ...]]
+# compiled moves sharing their exponent change:
+# (code offset, x1 change, degree change, ((i, j, coefficient), ...))
+Group = Tuple[int, int, int, Tuple[Tuple[int, int, Scalar], ...]]
+# the terms of one (x1 exponent, degree) at a parameter value, in columns:
+# (x1 exponent, degree, packed codes, integer values, exponent columns)
+Slab = Tuple[int, int, List[int], List[int], List[Tuple[int, ...]]]
 
 # coordinate order of the opposite nilradical (labels of y1..y5)
 COORD_LABELS: Tuple[int, ...] = (-1, -8, -6, -9, -4)
@@ -259,45 +271,23 @@ class VermaModule:
     def _compile(self, x: Element, w: int, lam: Optional[Fraction] = None) -> Tuple[List[Group], int]:
         """The action of ``x`` on codes of field width ``w``, and a denominator.
 
-        The merged moves are grouped by (i, j), each delta turned into the
-        offset of the packed code.  Without ``lam`` the coefficients are
+        The merged moves are grouped by their exponent change (``_group``),
+        each turned into the offset of the packed code.  Without ``lam`` the coefficients are
         parameter polynomials and the denominator is 1; this form is
         remembered per element and width, for the operator extraction acts
         with a few elements on many single monomials.  With ``lam`` they are
         the values at ``lam`` times their least common denominator ``den``,
         so the action is 1/den times the integer one.
         """
-        key = frozenset((l, c) for l, c in x.items() if c)
+        key = _element_key(x)
         if lam is None:
             groups = self._symbolic.get((key, w))
             if groups is None:
                 groups = self._symbolic[(key, w)] = _group(self._moves(key), w)
             return groups, 1
-        moves, den = self._integer_moves(key, lam)
-        return _group(moves, w), den
-
-    def _integer_moves(self, key: frozenset, lam: Fraction) -> Tuple[Dict[Move, int], int]:
-        """The merged moves of an element at ``lam``, times their least
-        common denominator, with it."""
         values = {move: q for move, q in ((move, a(lam)) for move, a in self._moves(key).items()) if q}
         den = math.lcm(*(q.denominator for q in values.values()))
-        return {move: q.numerator * (den // q.denominator) for move, q in values.items()}, den
-
-    def _integer_terms(self, v: VermaVector, lam: Fraction) -> Tuple[Dict[int, Tuple[List[int], List[int]]], int, int]:
-        """``v`` at ``lam`` over the integers: by degree, the packed codes and
-        the integer values of its terms, in two lists (smaller than one list
-        of pairs); with the common denominator ``dv`` of its values and the
-        field width.  A value whose denominator is ``dv`` keeps its
-        numerator object."""
-        dv = math.lcm(*(c(lam).denominator for c in v.terms.values()))
-        w = _width(v.terms)
-        parts: Dict[int, Tuple[List[int], List[int]]] = {}
-        for m, c in v.terms.items():
-            codes, values = parts.setdefault(sum(m), ([], []))
-            q = c(lam)
-            codes.append(pack_monomial(m, w))
-            values.append(q.numerator if q.denominator == dv else q.numerator * (dv // q.denominator))
-        return parts, dv, w
+        return _group({move: q.numerator * (den // q.denominator) for move, q in values.items()}, w), den
 
     # -- the action -------------------------------------------------------
 
@@ -312,55 +302,72 @@ class VermaModule:
         """Action of a basis element on a single ordered monomial."""
         return self._act_symbolic({label: Fraction(1)}, {tuple(m): ONE})
 
+    def _slabs(self, v: VermaVector, lam: Fraction) -> Tuple[List[Slab], int, int]:
+        """``v`` at ``lam`` over the integers, in slabs; with the common
+        denominator ``dv`` of its values and the field width.
+
+        A slab holds the terms of one (x1 exponent, degree), in ascending
+        order of that pair, as columns: the packed codes, the values times
+        ``dv`` (a value whose denominator is ``dv`` keeps its numerator
+        object) and the five exponent columns, taken from the monomials with
+        ``zip``.  Nothing is unpacked.
+        """
+        values = [c(lam) for c in v.terms.values()]
+        dv = math.lcm(*(q.denominator for q in values))
+        w = _width(v.terms)
+        parts: Dict[Tuple[int, int], Tuple[List[Monomial], List[int]]] = {}
+        for m, q in zip(v.terms, values):
+            monos, ints = parts.setdefault((m[0], sum(m)), ([], []))
+            monos.append(m)
+            ints.append(q.numerator if q.denominator == dv else q.numerator * (dv // q.denominator))
+        del values
+        slabs: List[Slab] = []
+        for x1, d in sorted(parts):
+            monos, ints = parts.pop((x1, d))
+            columns = list(zip(*monos))
+            low = columns[1]                     # the x2..x5 fields, by Horner in columns
+            for column in columns[2:]:
+                low = map(add, map((1 << w).__mul__, low), column)
+            top = ((d << w) + x1) << (4 * w)
+            slabs.append((x1, d, list(map(top.__add__, low)), ints, columns))
+        return slabs, dv, w
+
     def act(self, x: Element, v: VermaVector, lam: Optional[Fraction] = None) -> VermaVector:
         """Exact module action of a so(7) element.
 
         With ``lam`` the result is the action at that parameter value, equal to
-        ``act(x, v).evaluate_lambda(lam)``.  It is computed over the integers:
-        the values of ``v`` at ``lam`` are scaled by their common denominator,
-        and the moves of ``x`` by that of ``_compile``; the sums are Python
-        ``int``s, divided by the product of the two denominators once per
-        result monomial.
+        ``act(x, v).evaluate_lambda(lam)``.  It is computed over the integers
+        by the slab kernel ``_final_slabs``: the values of ``v`` at ``lam``
+        are scaled by their common denominator, and the moves of ``x`` by
+        theirs; the final output slabs are collected, and each sum is divided
+        by the product of the two denominators once.
         """
         if lam is None:
             return self._act_symbolic(x, v.terms)
-        parts, dv, w = self._integer_terms(v, lam)
+        slabs, dv, w = self._slabs(v, lam)
         groups, den = self._compile(x, w, lam)
-        sums: Dict[int, int] = {}
-        for codes, values in parts.values():
-            _apply(groups, zip(codes, values), w, sums, 0)
         den *= dv
-        return VermaVector({unpack_monomial(t, w): Fraction(n, den) for t, n in sums.items()})
+        return VermaVector({unpack_monomial(t, w): Fraction(n, den)
+                            for sums in _final_slabs(slabs, groups) for t, n in sums.items()})
 
     def annihilates(self, elements: Sequence[Element], v: VermaVector, lam: Fraction) -> List[bool]:
         """Whether each element kills ``v`` at ``lam``.
 
-        The integer sums of the action are tested for zero directly, with no
-        vector built; ``v`` is packed once, and elements that are equal are
-        acted with once.  An element can mix grades, so its moves change the
-        degree by different amounts; the image is summed one degree at a
-        time, which holds the sums of one degree only.
+        ``v`` is put in slabs once (``_slabs``), and elements that are equal
+        are acted with once.  The slab kernel ``_final_slabs`` hands over
+        each output slab of the integer action once no later input slab can
+        add to it; its sums are tested for zero there and dropped, so only a
+        window of a few slabs is held, and an element's check stops at its
+        first nonzero slab.
         """
-        parts, _, w = self._integer_terms(v, lam)
+        slabs, _, w = self._slabs(v, lam)
         verdicts: Dict[frozenset, bool] = {}
         out = []
         for x in elements:
-            key = frozenset((l, c) for l, c in x.items() if c)
+            key = _element_key(x)
             if key not in verdicts:
-                moves, _ = self._integer_moves(key, lam)
-                by_shift: Dict[int, Dict[Move, int]] = {}
-                for move, a in moves.items():
-                    by_shift.setdefault(sum(move[2]), {})[move] = a
-                groups = {shift: _group(part, w) for shift, part in by_shift.items()}
-                verdicts[key] = True
-                for degree in sorted({d + shift for d in parts for shift in groups}):
-                    sums: Dict[int, int] = {}
-                    for d, (codes, values) in parts.items():
-                        if degree - d in groups:
-                            _apply(groups[degree - d], zip(codes, values), w, sums, 0)
-                    if any(sums.values()):
-                        verdicts[key] = False
-                        break
+                groups, _ = self._compile(x, w, lam)
+                verdicts[key] = not any(any(sums.values()) for sums in _final_slabs(slabs, groups))
             out.append(verdicts[key])
         return out
 
@@ -372,20 +379,20 @@ class VermaModule:
         Coordinates are parameter polynomials: the highest weight itself is
         lam * eps1.  Raises on inhomogeneous input.  The monomials' root sums
         are compared over the integers, the roots scaled by their common
-        denominator.
+        denominator, one coordinate at a time in the exponent columns.
         """
         if v.is_zero():
             raise ValueError("zero vector has no weight")
         roots = [self.so7.roots[l].coords for l in COORD_LABELS]
         den = math.lcm(*(c.denominator for root in roots for c in root))
         scaled = [[c.numerator * (den // c.denominator) for c in root] for root in roots]
-        weights = {
-            tuple(sum(e * root[k] for e, root in zip(m, scaled)) for k in range(3))
-            for m in v.terms
-        }
-        if len(weights) > 1:
-            raise ValueError("vector is not weight-homogeneous")
-        shift = [Fraction(s, den) for s in next(iter(weights))]
+        columns = list(zip(*v.terms))
+        shift = []
+        for k in range(3):
+            sums = set(map(sum, zip(*(map(root[k].__mul__, column) for root, column in zip(scaled, columns)))))
+            if len(sums) > 1:
+                raise ValueError("vector is not weight-homogeneous")
+            shift.append(Fraction(sums.pop(), den))
         return eps_weight((LAMBDA + shift[0], LambdaPoly.const(shift[1]), LambdaPoly.const(shift[2])))
 
     # -- singular vector search ---------------------------------------------
@@ -483,6 +490,11 @@ def _first_root_grading(so7: StructureTable) -> Dict[Label, int]:
     return {l: int(g) for l, g in grade.items()}
 
 
+def _element_key(x: Element) -> frozenset:
+    """The nonzero items of an element: equal elements have equal keys."""
+    return frozenset((l, c) for l, c in x.items() if c)
+
+
 def _delta(plus: Optional[int] = None, *minus: int) -> Monomial:
     """The exponent change  e_plus - sum(e_minus)  (no plus term for None)."""
     d = [0] * NVARS
@@ -496,42 +508,77 @@ def _delta(plus: Optional[int] = None, *minus: int) -> Monomial:
 def _width(monomials) -> int:
     """Field width for packing ``monomials`` and the results of one action
     on them: no move raises an exponent by more than one."""
-    top = max((e for m in monomials for e in m), default=0)
+    top = max(map(max, zip(*monomials)), default=0)
     return (top + 1).bit_length()
 
 
 def _group(coeffs: Dict[Move, Scalar], w: int) -> List[Group]:
-    """Moves grouped by their derivative positions, deltas packed to offsets."""
-    groups: Dict[Tuple[int, int], List[Tuple[int, Scalar]]] = {}
+    """Moves grouped by their exponent change: they land on the same codes.
+    Each change is packed to a code offset and kept with its x1 and degree
+    parts, which place an output slab."""
+    groups: Dict[Monomial, List[Tuple[int, int, Scalar]]] = {}
     for (i, j, delta), a in coeffs.items():
-        groups.setdefault((i, j), []).append((pack_monomial(delta, w), a))
-    return [(i, j, tuple(moves)) for (i, j), moves in groups.items()]
+        groups.setdefault(delta, []).append((i, j, a))
+    return [(pack_monomial(delta, w), delta[0], sum(delta), tuple(moves)) for delta, moves in groups.items()]
+
+
+def _final_slabs(slabs: List[Slab], groups: List[Group]) -> Iterator[Dict[int, int]]:
+    """The integer action of ``groups`` on ``slabs``, one output slab at a
+    time: the sums by code of one (x1 exponent, degree), yielded once final.
+
+    The input slabs ascend in x1 exponent, and ``lowest`` is the least x1
+    change of a group, so when an input slab of x1 exponent p comes, every
+    output slab below p + lowest is final.  A group's multipliers  a,  a m_i  or
+    a m_i (m - e_i)_j  are summed in small-integer columns first; the terms
+    whose sum is zero are left out, and each other term is one product and
+    one addition.
+    """
+    lowest = min((dx1 for _, dx1, _, _ in groups), default=0)
+    window: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for x1, d, codes, values, columns in slabs:
+        for key in [k for k in window if k[0] < x1 + lowest]:
+            yield window.pop(key)
+        for off, dx1, dd, moves in groups:
+            factors = None
+            for i, j, a in moves:
+                if i < 0:
+                    column = repeat(a, len(codes))
+                else:
+                    column = map(mul, columns[i], repeat(a))
+                    if j >= 0:
+                        column = map(mul, column, map(sub, columns[j], repeat(1)) if i == j else columns[j])
+                factors = column if factors is None else map(add, factors, column)
+            factors = list(factors)
+            out = window.setdefault((x1 + dx1, d + dd), {})
+            get = out.get
+            for t, k in zip(compress(codes, factors), map(mul, compress(values, factors), filter(None, factors))):
+                t += off
+                out[t] = get(t, 0) + k
+    yield from window.values()
 
 
 def _apply(groups: List[Group], terms, w: int, out: Dict[int, Scalar], zero: Scalar) -> None:
     """Add the compiled action on the packed (code, coefficient) ``terms``
-    into ``out``: one multiply-add per move and term.
+    into ``out``, one term at a time: one multiply-add per group and term.
 
-    A group (i, j, moves) scales its moves by 1 (i = j = -1), by m_i
-    (j = -1), or by m_i (m - e_i)_j, the second derivative d_i d_j.  The
-    coefficients, the terms' and ``zero`` share one ring: ``LambdaPoly`` or
-    ``int``.
+    A move (i, j, a) of a group contributes a (i = j = -1), a m_i (j = -1),
+    or a m_i (m - e_i)_j, the second derivative d_i d_j.  The coefficients,
+    the terms' and ``zero`` share one ring: ``LambdaPoly`` or ``int``.
     """
     mask = (1 << w) - 1
     shifts = [k * w for k in range(NVARS - 1, -1, -1)]
     get = out.get
     for code, c in terms:
         e = [(code >> s) & mask for s in shifts]
-        for i, j, moves in groups:
-            if i < 0:
-                k = c
-            else:
-                k = e[i]
-                if j >= 0:
-                    k *= e[j] - (i == j)
-                if not k:
-                    continue
-                k = c if k == 1 else c * k
-            for off, a in moves:
+        for off, _, _, moves in groups:
+            k = None
+            for i, j, a in moves:
+                if i >= 0:
+                    mult = e[i] if j < 0 else e[i] * (e[j] - (i == j))
+                    if not mult:
+                        continue
+                    a = a * mult
+                k = a if k is None else k + a
+            if k:
                 t = code + off
-                out[t] = get(t, zero) + k * a
+                out[t] = get(t, zero) + c * k

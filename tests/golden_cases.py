@@ -56,7 +56,7 @@ def _cases() -> List[List[str]]:
         ["oracle", "--degree", "6", "--lambda=1/2", "--format", "json"],
     ]
     cases += _formats(["verify"], ("text", "json"))
-    # one-line errors (exit 1), usage errors and requests over a cap (exit 64)
+    # one-line errors, usage errors and requests over a cap (exit 64)
     cases += [
         ["embedding", "project"],
         ["embedding", "inject"],
@@ -73,6 +73,10 @@ def _cases() -> List[List[str]]:
         ["singular", "--scan"],
         ["singular", "--homogeneity", "0"],
         ["singular", "--homogeneity", "3", "--format", "latex"],
+        ["singular", "--homogeneity", "301", "--format", "latex"],
+        ["singular", "--scan", "--max-degree", "4", "--format", "latex"],
+        ["singular", "--scan", "--max-degree", "-3"],
+        ["hilbert", "--max-degree", "3", "--t", "-1"],
         ["singular", "--homogeneity", "abc"],
         ["oracle", "--degree", "2"],
         ["oracle", "--degree", "2", "--lambda=1/2", "--format", "xml"],

@@ -257,6 +257,11 @@ def test_embedding_rejects_unparsed_weight(capsys, action):
     (["oracle", "--degree", "2", "--lambda=x"], "not a rational: 'x'"),
     (["algebra", "--n", "1"], "rank must be at least 2"),
     (["hilbert", "--max-degree", "-2"], "max-degree must be non-negative"),
+    (["hilbert", "--max-degree", "3", "--t", "-1"], "t must be non-negative"),
+    (["singular", "--scan", "--max-degree", "-3"], "max-degree must be positive"),
+    (["singular", "--homogeneity", "3", "--format", "latex"], "no latex form for this command"),
+    (["singular", "--scan", "--max-degree", "4", "--format", "latex"], "no latex form for this command"),
+    (["embedding", "verify", "--format", "dot"], "no dot form for this command"),
 ])
 def test_bad_input_is_a_one_line_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -265,12 +270,33 @@ def test_bad_input_is_a_one_line_error(capsys, argv, message):
     assert capsys.readouterr() == ("", f"{message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["singular", "--homogeneity", "301", "--format", "latex"],
+    ["singular", "--scan", "--max-degree", "4", "--format", "latex"],
+    ["embedding", "verify", "--format", "dot"],
+    ["embedding", "project", "--weight", "eps1", "--format", "dot"],
+])
+def test_a_refused_format_is_refused_before_any_work(capsys, monkeypatch, argv):
+    def work(*args, **kwargs):
+        raise AssertionError("computed before the format was refused")
+
+    for name in ("SolverContext", "solve_odd", "solve_even", "embed_g2", "inclusion_lattice"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr("g2fmethod.embedding.project_weight", work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    fmt = argv[-1]
+    assert capsys.readouterr() == ("", f"no {fmt} form for this command\n")
+
+
 def test_bad_input_exits_usage_with_empty_stdout():
     import subprocess
     import sys
 
     for argv in (["embedding", "project"], ["parabolic", "--algebra", "so7", "--mask", "1,x"],
-                 ["oracle", "--degree", "2", "--lambda=1/0"], ["algebra", "--n", "1"]):
+                 ["oracle", "--degree", "2", "--lambda=1/0"], ["algebra", "--n", "1"],
+                 ["singular", "--scan", "--max-degree", "-3"], ["hilbert", "--max-degree", "3", "--t", "-1"]):
         proc = subprocess.run([sys.executable, "-m", "g2fmethod", *argv], capture_output=True, text=True)
         assert proc.returncode == cli.EXIT_USAGE, argv
         assert proc.stdout == "", argv

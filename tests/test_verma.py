@@ -1,13 +1,15 @@
 import dataclasses
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from g2fmethod.polynomials import NVARS
 from g2fmethod.scalars import LAMBDA, LambdaPoly
-from g2fmethod.solver import pprime_annihilators
+from g2fmethod.solver import borel_annihilators, pprime_annihilators, pprime_full_annihilators, solve_even
 from g2fmethod.verma import COORD_LABELS, VermaModule, VermaVector, _first_root_grading, parse_verma
 
 F = Fraction
@@ -410,3 +412,82 @@ def test_annihilates_tells_apart_elements_on_the_same_labels(module):
     alone = [module.act(x, v, lam=lam).is_zero() for x in elements]
     assert alone == [True, False, True, True]
     assert module.annihilates(elements, v, lam) == alone
+
+
+# -- the slab kernel against the symbolic route ------------------------------
+
+
+def _mixed_vector(rng, wide: bool) -> VermaVector:
+    """Terms of degrees 0..12 (two more past exponent 4096 when ``wide``),
+    with parameter-dependent, negative and fractional values."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        d = rng.randint(0, 12)
+        cuts = sorted(rng.randint(0, d) for _ in range(NVARS - 1))
+        terms[tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))] = LambdaPoly(
+            [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))), F(rng.randint(-3, 3), rng.choice((1, 4)))])
+    if wide:
+        terms[(4097, rng.randint(0, 3), 0, rng.randint(0, 5000), 1)] = LambdaPoly.const(F(-7, 3))
+        terms[(rng.randint(0, 2), 0, 4096, 1, rng.randint(0, 9000))] = LambdaPoly([F(1, 2), -1])
+    return VermaVector(terms)
+
+
+def _mixed_element(rng, so7):
+    """An element with a label of each grade -1, 0, +1 and fractional coefficients."""
+    grade = _first_root_grading(so7)
+    x = {}
+    for g in (-1, 0, 1):
+        for _ in range(rng.randint(1, 2)):
+            x[rng.choice([l for l in so7.labels if grade[l] == g])] = F(rng.randint(-6, 6) or 1, rng.choice((1, 2, 3)))
+    return x
+
+
+def test_slab_kernel_matches_the_symbolic_action_on_mixed_vectors(module, so7):
+    rng = random.Random(14)
+    for trial in range(80):
+        v = _mixed_vector(rng, wide=trial % 4 == 0)
+        elements = [_mixed_element(rng, so7) for _ in range(2)] + [{rng.choice(so7.labels): F(1)}]
+        lam = F(rng.randint(-15, 15), rng.choice((1, 2, 3, 4)))
+        images = [module.act(x, v).evaluate_lambda(lam) for x in elements]
+        for x, image in zip(elements, images):
+            assert module.act(x, v, lam=lam) == image, (trial, x)
+        assert module.annihilates(elements, v, lam) == [image.is_zero() for image in images], trial
+
+
+def test_slab_kernel_verdicts_match_the_symbolic_action_on_certificates(ctx):
+    # certificates are killed at their parameter value and mostly not at the
+    # next one; a term of higher x1 exponent than all others has its image in
+    # the last output slabs only, which the kernel must still test
+    module = ctx.module
+    elements = pprime_annihilators(ctx.emb) + pprime_full_annihilators(ctx.emb) + borel_annihilators(ctx.emb)
+    for N in range(1, 9):
+        cert = solve_even(ctx, N, verify=False)
+        v = cert.verma_vector
+        tail = v + VermaVector.monomial((N + 1, 0, 2, 0, 1), F(-3, 2))
+        for vector, lam in ((v, cert.lam), (v, cert.lam + 1), (tail, cert.lam)):
+            images = [module.act(x, vector).evaluate_lambda(lam) for x in elements]
+            verdicts = module.annihilates(elements, vector, lam)
+            assert verdicts == [image.is_zero() for image in images], (N, lam)
+            for x, image in zip(elements, images):
+                assert module.act(x, vector, lam=lam) == image, (N, lam, x)
+        assert all(module.annihilates(elements, v, cert.lam)), N
+        assert not all(module.annihilates(elements, tail, cert.lam)), N
+
+
+def test_annihilates_live_peak_on_the_certificate_at_homogeneity_240(ctx):
+    # the slab window holds a few output slabs; summing a whole degree of an
+    # image at once peaked at 1.04 MB here
+    module = ctx.module
+    elements = pprime_annihilators(ctx.emb) + pprime_full_annihilators(ctx.emb) + borel_annihilators(ctx.emb)
+    cert = solve_even(ctx, 120, verify=False)
+    module.annihilates(elements, cert.verma_vector, cert.lam)      # warm the free lists
+    gc.disable()
+    try:
+        tracemalloc.start()
+        kills = module.annihilates(elements, cert.verma_vector, cert.lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert all(kills)
+    assert peak <= 0.9e6, peak
