@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -84,8 +85,11 @@ def _emit(args, text: Callable[[], str], payload: Optional[Callable[[], dict]] =
     body += "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(body)
+        try:
+            with open(out, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            _reject(f"cannot write {out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(body)
 
@@ -111,45 +115,40 @@ _WEIGHT_NAMES: Dict[str, Tuple[str, Tuple[Fraction, ...]]] = {
 }
 
 
+_WEIGHT_TERM = re.compile(r"\s*(?P<sign>[+-])?\s*(?:(?P<coef>[0-9]+(?:/[0-9]+)?)\s*\*?\s*)?(?P<name>[a-z]+[0-9]+)\s*")
+
+
 def parse_weight(s: str) -> WeightVec:
     """Parse linear combinations like '2*alpha1 + alpha2' or '1/2*eps1 - eps3'.
 
-    Raises ``ValueError`` on any character outside the grammar.
+    Each term is  [sign] [coef [*]] symbol,  and each term after the first
+    carries one sign.  Raises ``ValueError`` on anything else.
     """
-    import re
-
-    token = r"[+-]|[0-9]+(?:/[0-9]+)?|\*|[a-z]+[0-9]"
-    text = s.replace(" ", "")
-    if not re.fullmatch(f"(?:{token})*", text):
-        raise ValueError(f"cannot parse weight {s!r}")
-    tokens = re.findall(token, text)
-    basis = None
-    coords: Optional[List[Fraction]] = None
-    sign = Fraction(1)
-    coef: Optional[Fraction] = None
-    for tok in tokens:
-        if tok == "+":
-            sign, coef = Fraction(1), None
-        elif tok == "-":
-            sign, coef = -Fraction(1), None
-        elif tok == "*":
-            continue
-        elif re.fullmatch(r"[0-9]+(/[0-9]+)?", tok):
-            coef = (coef if coef is not None else Fraction(1)) * Fraction(tok)
-        else:
-            if tok not in _WEIGHT_NAMES:
-                raise ValueError(f"unknown weight symbol {tok!r}")
-            b, vec = _WEIGHT_NAMES[tok]
-            if basis is None:
-                basis = b
-                coords = [Fraction(0)] * len(vec)
-            elif basis != b:
-                raise ValueError("weight mixes the two coordinate families")
-            c = sign * (coef if coef is not None else Fraction(1))
-            coords = [x + c * v for x, v in zip(coords, vec)]
-            sign, coef = Fraction(1), None
-    if basis is None:
+    if not s.strip():
         raise ValueError(f"no weight symbols in {s!r}")
+    basis = None
+    coords: List[Fraction] = []
+    pos = 0
+    while pos < len(s):
+        m = _WEIGHT_TERM.match(s, pos)
+        if not m or (pos and not m.group("sign")):
+            raise ValueError(f"cannot parse weight {s!r}")
+        pos = m.end()
+        name = m.group("name")
+        if name not in _WEIGHT_NAMES:
+            raise ValueError(f"unknown weight symbol {name!r}")
+        b, vec = _WEIGHT_NAMES[name]
+        if basis is None:
+            basis, coords = b, [Fraction(0)] * len(vec)
+        elif basis != b:
+            raise ValueError("weight mixes the two coordinate families")
+        try:
+            c = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in weight {s!r}") from None
+        if m.group("sign") == "-":
+            c = -c
+        coords = [x + c * v for x, v in zip(coords, vec)]
     return WeightVec(tuple(coords), basis)
 
 
@@ -192,14 +191,20 @@ def cmd_embedding(args) -> int:
     if args.action == "project":
         from .embedding import project_weight
 
-        out = project_weight(w)
+        try:
+            out = project_weight(w)
+        except ValueError as exc:
+            _reject(f"embedding project: {exc}")
         psi = signed_sum(alpha_to_psi(out), ("psi1", "psi2"))
         _emit(args, lambda: psi, payload=lambda: {"weight": str(out), "psi": psi})
         return EXIT_OK
     if args.action == "inject":
         from .embedding import inject_weight
 
-        out = inject_weight(w)
+        try:
+            out = inject_weight(w)
+        except ValueError as exc:
+            _reject(f"embedding inject: {exc}")
         _emit(args, lambda: str(out), payload=lambda: {"weight": str(out)})
         return EXIT_OK
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .embedding import Embedding
 from .liealg import Element
@@ -39,16 +39,6 @@ def verma_from_xi(p: XiPolynomial) -> VermaVector:
 def fourier_act(module: VermaModule, x: Element, p: XiPolynomial) -> XiPolynomial:
     """Transported module action; exact in every degree, parameter symbolic."""
     return xi_from_verma(module.act(x, verma_from_xi(p)))
-
-
-def gr_degree(p: XiPolynomial) -> Optional[int]:
-    """Common grading degree of all terms, or None when mixed."""
-    degs = set()
-    for m in p.terms:
-        degs.add(sum(e * w for e, w in zip(m, GR_WEIGHTS)))
-        if len(degs) > 1:
-            return None
-    return degs.pop() if degs else 0
 
 
 def extract_diffop(module: VermaModule, x: Element, max_order: int) -> DiffOperator:

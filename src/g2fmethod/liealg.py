@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linsolve import SparseSpan
-from .scalars import LambdaPoly, rational_from_string, rational_to_string
+from .scalars import LambdaPoly, rational_to_string
 
 Label = Union[int, str]
 Element = Dict[Label, Fraction]
@@ -368,40 +368,6 @@ class StructureTable:
 
 def _label_key(l: Label):
     return (0, l, "") if isinstance(l, int) else (1, 0, l)
-
-
-def parse_label(s: str) -> Label:
-    s = s.strip()
-    if s.startswith("h"):
-        return s
-    return int(s)
-
-
-def structure_table_from_json(doc: dict) -> StructureTable:
-    """Rebuild the bracket data of an exported table (matrices not stored)."""
-    labels = [parse_label(b["label"]) for b in doc["basis"]]
-    roots = {}
-    for b in doc["basis"]:
-        if b["root"] is not None:
-            l = parse_label(b["label"])
-            basis = "alpha" if doc["algebra"] == "g2" else "eps"
-            roots[l] = WeightVec(tuple(rational_from_string(c) for c in b["root"]), basis)
-    brackets: Dict[Tuple[Label, Label], Element] = {}
-    for item in doc["brackets"]:
-        a, b = parse_label(item["x"]), parse_label(item["y"])
-        val = {parse_label(k): rational_from_string(v) for k, v in item["value"].items()}
-        brackets[(a, b)] = val
-        brackets[(b, a)] = {k: -v for k, v in val.items()}
-    table = StructureTable(
-        name=doc["algebra"],
-        labels=labels,
-        roots=roots,
-        simple_coords={},
-        cartan_labels=[l for l in labels if isinstance(l, str)],
-        matrices={},
-        brackets=brackets,
-    )
-    return table
 
 
 # ---------------------------------------------------------------------------

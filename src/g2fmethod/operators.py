@@ -203,6 +203,8 @@ def op_compose(D1: DiffOperator, D2: DiffOperator) -> DiffOperator:
 
 
 def op_commutator(D1: DiffOperator, D2: DiffOperator) -> DiffOperator:
+    """[D1, D2] = D1 D2 - D2 D1.  The engine takes no commutator: this is
+    the test oracle that states the sl2 relations of the extracted operators."""
     return op_compose(D1, D2) - op_compose(D2, D1)
 
 

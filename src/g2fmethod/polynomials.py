@@ -57,7 +57,13 @@ def unpack_monomial(code: int, w: int) -> Monomial:
 
 
 class XiPolynomial:
-    """Polynomial in the five dual coordinates over the parameter ring."""
+    """Polynomial in the five dual coordinates over the parameter ring.
+
+    It is the one sparse polynomial type: ``verma.VermaVector``, the
+    Fourier-dual module vector, is a subclass that only prints differently.
+    Constructors and arithmetic build ``type(self)``, and equality compares
+    terms alone, across the two printers.
+    """
 
     __slots__ = ("terms",)
 
@@ -85,26 +91,26 @@ class XiPolynomial:
 
     # -- constructors ----------------------------------------------------
 
-    @staticmethod
-    def zero() -> "XiPolynomial":
-        return XiPolynomial()
+    @classmethod
+    def zero(cls) -> "XiPolynomial":
+        return cls()
 
-    @staticmethod
-    def constant(c: Scalar) -> "XiPolynomial":
-        return XiPolynomial({ZERO_MONO: LambdaPoly.coerce(c)})
+    @classmethod
+    def constant(cls, c: Scalar) -> "XiPolynomial":
+        return cls({ZERO_MONO: LambdaPoly.coerce(c)})
 
-    @staticmethod
-    def variable(i: int) -> "XiPolynomial":
+    @classmethod
+    def variable(cls, i: int) -> "XiPolynomial":
         """The i-th coordinate, 1-based."""
         if not 1 <= i <= NVARS:
             raise ValueError(f"variable index {i} out of range")
         e = [0] * NVARS
         e[i - 1] = 1
-        return XiPolynomial({tuple(e): LambdaPoly.const(1)})
+        return cls({tuple(e): LambdaPoly.const(1)})
 
-    @staticmethod
-    def monomial(m: Monomial, c: Scalar = 1) -> "XiPolynomial":
-        return XiPolynomial({tuple(m): LambdaPoly.coerce(c)})
+    @classmethod
+    def monomial(cls, m: Monomial, c: Scalar = 1) -> "XiPolynomial":
+        return cls({tuple(m): LambdaPoly.coerce(c)})
 
     # -- structure -------------------------------------------------------
 
@@ -128,14 +134,6 @@ class XiPolynomial:
     def coefficient(self, m: Monomial) -> LambdaPoly:
         return self.terms.get(tuple(m), ZERO)
 
-    def total_degree(self) -> int:
-        """Maximum total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def sorted_terms(self) -> Iterator[Tuple[Monomial, LambdaPoly]]:
         for m in sorted(self.terms, key=term_sort_key, reverse=True):
             yield m, self.terms[m]
@@ -146,10 +144,10 @@ class XiPolynomial:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, ZERO) + c
-        return XiPolynomial(out)
+        return type(self)(out)
 
     def __neg__(self) -> "XiPolynomial":
-        return XiPolynomial({m: -c for m, c in self.terms.items()})
+        return type(self)({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "XiPolynomial") -> "XiPolynomial":
         return self + (-other)
@@ -157,13 +155,13 @@ class XiPolynomial:
     def __mul__(self, other: Union["XiPolynomial", int, Fraction, LambdaPoly]) -> "XiPolynomial":
         if not isinstance(other, XiPolynomial):
             c = LambdaPoly.coerce(other)
-            return XiPolynomial({m: v * c for m, v in self.terms.items()})
+            return type(self)({m: v * c for m, v in self.terms.items()})
         out: Dict[Monomial, LambdaPoly] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
                 out[m] = out.get(m, ZERO) + ca * cb
-        return XiPolynomial(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
@@ -189,9 +187,9 @@ class XiPolynomial:
         if n < 0:
             raise ValueError("negative power")
         if n == 0:
-            return XiPolynomial.constant(1)
+            return type(self).constant(1)
         if not self.terms:
-            return XiPolynomial.zero()
+            return type(self).zero()
         layers, den = integer_layers(self.terms.values())
         width = (sum(abs(a) for c in layers for a in c) ** n).bit_length() + 1
         (lead_m, *rest_ms), (lead_c, *rest_cs) = self.terms, [pack_layers(c, width) for c in layers]
@@ -219,14 +217,14 @@ class XiPolynomial:
             values[v] = LambdaPoly._of_layers(unpack_layers(v, width), den)
         for m, v in out.items():
             out[m] = values[v]
-        return XiPolynomial._of_terms(out)
+        return type(self)._of_terms(out)
 
     def scale(self, c: Scalar) -> "XiPolynomial":
         return self * LambdaPoly.coerce(c)
 
     def evaluate_lambda(self, x: Fraction) -> "XiPolynomial":
         """Substitute an exact rational for the formal parameter."""
-        return XiPolynomial(
+        return type(self)(
             {m: LambdaPoly.const(c(x)) for m, c in self.terms.items()}
         )
 
@@ -236,7 +234,7 @@ class XiPolynomial:
         return format_terms(self.sorted_terms(), _XI_NAMES)
 
     def __repr__(self) -> str:
-        return f"XiPolynomial({self})"
+        return f"{type(self).__name__}({self})"
 
     def to_latex(self) -> str:
         return format_terms(self.sorted_terms(), _XI_LATEX, latex=True)
@@ -325,8 +323,11 @@ def tokenize(s: str):
 def parse_terms(s: str, names: Tuple[str, ...]):
     """Parse the signed-sum grammar; yields (exponent tuple, LambdaPoly).
 
-    ``names`` maps variable spellings to positions.  A name not listed is an
-    error, except the special trailing 'v' handled by the caller via names.
+    A term is factors joined by '*': a rational, a parenthesized parameter
+    polynomial, 'L' or a name of ``names`` (which maps spellings to
+    positions), the last two with an optional '^k'.  The first term may
+    carry a sign and each later one carries exactly one.  Anything else
+    raises ``ValueError``.
     """
     from .scalars import parse_lambda_poly
 
@@ -338,26 +339,20 @@ def parse_terms(s: str, names: Tuple[str, ...]):
     n = len(toks)
     while i < n:
         sign = 1
-        while i < n and toks[i][0] == "sign":
-            if toks[i][1] == "-":
-                sign = -sign
+        if toks[i][0] == "sign":
+            sign = -1 if toks[i][1] == "-" else 1
             i += 1
         coeff = LambdaPoly.const(1)
         expo = [0] * len(names)
-        saw_factor = False
-        expect_factor = True
-        while i < n:
+        while True:
+            if i == n:
+                raise ValueError("polynomial text ends where a factor is expected")
             kind, val = toks[i]
-            if kind == "sign" and not expect_factor:
-                break
-            if kind == "mul":
-                i += 1
-                expect_factor = True
-                continue
             if kind == "num":
-                coeff = coeff * Fraction(val)
-                saw_factor = True
-                expect_factor = False
+                try:
+                    coeff = coeff * Fraction(val)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator {val!r} in polynomial text") from None
                 i += 1
             elif kind == "lparen":
                 depth, j = 1, i + 1
@@ -371,8 +366,6 @@ def parse_terms(s: str, names: Tuple[str, ...]):
                     raise ValueError("unbalanced parenthesis in polynomial text")
                 inner = " ".join(t[1] for t in toks[i + 1 : j - 1])
                 coeff = coeff * parse_lambda_poly(inner)
-                saw_factor = True
-                expect_factor = False
                 i = j
             elif kind == "name":
                 p, i = _exponent(toks, i)
@@ -382,13 +375,15 @@ def parse_terms(s: str, names: Tuple[str, ...]):
                     expo[index[val]] += p
                 else:
                     raise ValueError(f"unknown symbol {val!r}")
-                saw_factor = True
-                expect_factor = False
                 i += 1
             else:
                 raise ValueError(f"unexpected token {val!r}")
-        if not saw_factor:
-            raise ValueError("dangling sign in polynomial text")
+            if i < n and toks[i][0] == "mul":
+                i += 1
+            else:
+                break
+        if i < n and toks[i][0] != "sign":
+            raise ValueError(f"expected '*' or a sign before {toks[i][1]!r}")
         yield tuple(expo), coeff * sign
 
 

@@ -394,32 +394,36 @@ def poly_gcd(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
 
 
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-])?\s*(?P<coef>\d+(?:/\d+)?)?\s*(?:\*?\s*L(?:\s*\^\s*(?P<pow>\d+))?)?"
+    r"(?P<sign>[+-])?\s*(?:(?P<coef>\d+(?:/\d+)?)(?P<times>\s*\*\s*)?)?"
+    r"(?P<lam>L(?:\s*\^\s*(?P<pow>\d+))?)?\s*"
 )
 
 
 def parse_lambda_poly(s: str) -> LambdaPoly:
-    """Parse the textual form produced by ``str(LambdaPoly)``."""
+    """Parse the textual form produced by ``str(LambdaPoly)``.
+
+    Terms are  coef,  L^k  or  coef*L^k  (``^k`` optional), each after the
+    first behind one sign; anything else raises ``ValueError``.
+    """
     s = s.strip()
-    if s in ("0", ""):
+    if s == "0":
         return ZERO
+    if not s:
+        raise ValueError("empty parameter polynomial")
     out = ZERO
     pos = 0
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
+        coef, lam = m.group("coef"), m.group("lam")
+        if (pos and not m.group("sign")) or not (coef or lam) or bool(m.group("times")) != bool(coef and lam):
             raise ValueError(f"bad parameter polynomial near {s[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        has_lam = "L" in s[m.start() : m.end()]
-        power = int(m.group("pow")) if m.group("pow") else (1 if has_lam else 0)
-        if m.group("coef") is None and not has_lam:
-            raise ValueError(f"bad parameter polynomial near {s[pos:]!r}")
-        term = [Fraction(0)] * power + [sign * coef]
-        out = out + LambdaPoly(term)
+        try:
+            value = Fraction(coef) if coef else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
+        power = int(m.group("pow") or 1) if lam else 0
+        out = out + LambdaPoly([Fraction(0)] * power + [-value if m.group("sign") == "-" else value])
         pos = m.end()
-        while pos < len(s) and s[pos] == " ":
-            pos += 1
     return out
 
 

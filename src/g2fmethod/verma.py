@@ -59,6 +59,7 @@ from .linsolve import kernel_basis
 from .polynomials import (
     Monomial,
     NVARS,
+    XiPolynomial,
     format_terms,
     pack_monomial,
     parse_terms,
@@ -82,100 +83,24 @@ COORD_LABELS: Tuple[int, ...] = (-1, -8, -6, -9, -4)
 _VERMA_NAMES = tuple(f"g_{l}" for l in COORD_LABELS) + ("v",)
 
 
-class VermaVector:
-    """Sparse combination of ordered monomials applied to the cyclic vector."""
+class VermaVector(XiPolynomial):
+    """A module vector: ordered monomials in the y's applied to the cyclic
+    vector v.  Its terms are those of its Fourier-dual polynomial, and all of
+    its arithmetic is ``XiPolynomial``'s; only the printer differs, writing
+    ``4*g_-1*g_-9*v`` where the polynomial writes ``4*x1*x4``."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[Monomial, LambdaPoly]] = None):
-        clean: Dict[Monomial, LambdaPoly] = {}
-        if terms:
-            for m, c in terms.items():
-                c = LambdaPoly.coerce(c)
-                if not c.is_zero():
-                    clean[tuple(m)] = c
-        self.terms = clean
-
-    @classmethod
-    def _of_terms(cls, terms: Dict[Monomial, LambdaPoly]) -> "VermaVector":
-        """Around a clean term dict (exponent tuples, nonzero ``LambdaPoly``
-        coefficients), shared instead of copied: no term dict is mutated
-        after its vector or polynomial is built."""
-        v = object.__new__(cls)
-        v.terms = terms
-        return v
-
-    @staticmethod
-    def zero() -> "VermaVector":
-        return VermaVector()
-
-    @staticmethod
-    def highest_weight() -> "VermaVector":
-        return VermaVector({(0,) * NVARS: LambdaPoly.const(1)})
-
-    @staticmethod
-    def monomial(m: Monomial, c=1) -> "VermaVector":
-        return VermaVector({tuple(m): LambdaPoly.coerce(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, LambdaPoly()) + c
-        return VermaVector(out)
-
-    def __neg__(self) -> "VermaVector":
-        return VermaVector({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + (-other)
-
-    def scale(self, c) -> "VermaVector":
-        c = LambdaPoly.coerce(c)
-        return VermaVector({m: v * c for m, v in self.terms.items()})
-
-    def shift(self, var_index: int) -> "VermaVector":
-        """Multiply by the basis generator at coordinate position (0-based)."""
-        out = {}
-        for m, c in self.terms.items():
-            mm = list(m)
-            mm[var_index] += 1
-            out[tuple(mm)] = c
-        return VermaVector(out)
-
-    def evaluate_lambda(self, x: Fraction) -> "VermaVector":
-        return VermaVector({m: LambdaPoly.const(c(x)) for m, c in self.terms.items()})
-
-    def degrees(self) -> set:
-        return {sum(m) for m in self.terms}
-
-    def sorted_terms(self):
-        for m in sorted(self.terms, key=term_sort_key, reverse=True):
-            yield m, self.terms[m]
+    __slots__ = ()
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return format_terms(
-            ((m + (1,), c) for m, c in self.sorted_terms()), _VERMA_NAMES
-        )
-
-    def __repr__(self) -> str:
-        return f"VermaVector({self})"
+        return format_terms(((m + (1,), c) for m, c in self.sorted_terms()), _VERMA_NAMES)
 
 
 def parse_verma(s: str) -> VermaVector:
-    """Inverse of ``str(VermaVector)``; every term must end in 'v'."""
+    """Inverse of ``str(VermaVector)``; every term must end in 'v'.
+
+    No engine path reads module vectors back: this parser is the test
+    oracle that round-trips printed certificates.
+    """
     s = s.strip()
     if s == "0":
         return VermaVector.zero()

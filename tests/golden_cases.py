@@ -62,6 +62,12 @@ def _cases() -> List[List[str]]:
         ["embedding", "inject"],
         ["embedding", "project", "--weight", "eps1?eps2"],
         ["embedding", "inject", "--weight", "eps1?eps2"],
+        ["embedding", "project", "--weight", "2 2 eps1"],
+        ["embedding", "project", "--weight", "eps1*2"],
+        ["embedding", "project", "--weight", "1/0*eps1"],
+        ["embedding", "inject", "--weight", "2*alpha1*alpha2"],
+        ["embedding", "project", "--weight", "alpha1"],
+        ["embedding", "inject", "--weight", "eps1"],
         ["embedding", "verify", "--format", "dot"],
         ["parabolic", "--algebra", "so7", "--mask", "1,x"],
         ["parabolic", "--algebra", "g2", "--mask", "1,0,0"],

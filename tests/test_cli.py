@@ -230,14 +230,35 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().count("->") == 20
 
 
+def test_out_path_that_cannot_be_written_is_a_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["singular", "--homogeneity", "2", "--out", str(target)])
+    assert exc.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["embedding", "lattice", "--out", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"cannot write {tmp_path}: Is a directory\n")
+
+
 def test_weight_parse_errors(capsys):
     with pytest.raises(ValueError):
         cli.parse_weight("eps1 + alpha1")
     with pytest.raises(ValueError):
         cli.parse_weight("zeta1")
-    for text in ("eps1?eps2", "eps1 + eps2;", "2.5*eps1"):
+    for text in ("eps1?eps2", "eps1 + eps2;", "2.5*eps1", "2 2 eps1", "eps1*2", "eps1 eps2",
+                 "2*alpha1*alpha2", "**eps1", "eps1+", "1/0*eps1", "- -eps1", "eps1 + + eps2", ""):
         with pytest.raises(ValueError):
             cli.parse_weight(text)
+
+
+def test_weight_terms_read_as_written():
+    assert str(cli.parse_weight("-1/2*eps1 + 2 eps2 - eps3")) == "-1/2*eps1 + 2*eps2 - eps3"
+    assert str(cli.parse_weight(" +3*alpha1-alpha2 ")) == "3*alpha1 - alpha2"
 
 
 @pytest.mark.parametrize("action", ["project", "inject"])

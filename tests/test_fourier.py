@@ -6,7 +6,6 @@ from g2fmethod.fourier import (
     GR_WEIGHTS,
     extract_diffop,
     fourier_act,
-    gr_degree,
     sl2_triple_ops,
     verma_from_xi,
     xi_from_verma,
@@ -14,7 +13,7 @@ from g2fmethod.fourier import (
 from g2fmethod.operators import op_apply, op_commutator, parse_operator
 from g2fmethod.polynomials import XiPolynomial, parse_xi_polynomial
 from g2fmethod.scalars import LAMBDA
-from g2fmethod.verma import VermaModule
+from g2fmethod.verma import VermaModule, VermaVector
 
 F = Fraction
 
@@ -78,16 +77,15 @@ def test_sl2_triple_relations(module, emb):
     assert op_apply(h_op, XiPolynomial.variable(3)).is_zero()
 
 
-def test_gr_degree_values():
-    assert gr_degree(parse_xi_polynomial("x1*x4 + x2*x5")) == -4
-    assert gr_degree(parse_xi_polynomial("x3^2")) == -4
-    assert gr_degree(parse_xi_polynomial("x1 + x3")) is None
-    assert gr_degree(XiPolynomial.zero()) == 0
-
-
 def test_fourier_round_trip_identification():
     p = parse_xi_polynomial("4*x1*x4 + x3^2 - 1/2*x2")
     assert xi_from_verma(verma_from_xi(p)) == p
+    v = verma_from_xi(p)
+    # the identification re-types the terms; it copies nothing
+    assert v.terms is p.terms and xi_from_verma(v).terms is p.terms
+    assert type(v) is VermaVector and type(xi_from_verma(v)) is XiPolynomial
+    assert v == p
+    assert str(v) == "4*g_-1*g_-9*v + g_-6^2*v - 1/2*g_-8*v"
 
 
 def test_fourier_is_algebra_map_on_brackets(module, so7):

@@ -13,7 +13,6 @@ from g2fmethod.liealg import (
     g2_psi,
     positive_combination,
     reflect,
-    structure_table_from_json,
 )
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 
@@ -139,14 +138,6 @@ def test_jacobi_sampled(so7):
         for l, c in rhs2.items():
             total[l] = total.get(l, F(0)) - c
         assert all(v == 0 for v in total.values())
-
-
-def test_structure_table_json_roundtrip(so7):
-    doc = so7.to_json()
-    back = structure_table_from_json(doc)
-    for (a, b), val in so7.brackets.items():
-        assert back.brackets.get((a, b), {}) == val
-    assert back.labels == so7.labels
 
 
 # bracket-table checksums of the seed construction; any change to a structure

@@ -99,6 +99,13 @@ def test_parse_roundtrip(coeffs):
     assert parse_lambda_poly(str(p)) == p
 
 
+@pytest.mark.parametrize("text", ["2*L*L", "L L", "1 2", "*L", "1/0", "1/0*L", "", "2L", "2*", "L -",
+                                  "- -L", "L^", "L^2^2", "x", "(L)"])
+def test_parse_lambda_poly_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        parse_lambda_poly(text)
+
+
 def test_rational_strings():
     assert rational_from_string("-3/2") == Fraction(-3, 2)
     assert rational_to_string(Fraction(8, 4)) == "2"

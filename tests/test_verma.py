@@ -25,7 +25,7 @@ def test_coordinate_order():
 
 
 def test_highest_weight_identities(module):
-    v = VermaVector.highest_weight()
+    v = VermaVector.constant(1)
     # the first simple raising generator pairs to the parameter
     y1v = VermaVector.monomial((1, 0, 0, 0, 0))
     assert module.act({1: F(1)}, y1v) == v.scale(LAMBDA)
@@ -36,7 +36,7 @@ def test_highest_weight_identities(module):
 
 
 def test_action_multiplies_by_nilradical(module):
-    v = VermaVector.highest_weight()
+    v = VermaVector.constant(1)
     out = module.act({-8: F(2)}, v)
     assert out == VermaVector.monomial((0, 1, 0, 0, 0), 2)
 
@@ -88,7 +88,7 @@ def textbook_action(module, so7):
         if key in memo:
             return memo[key]
         if label in COORD_LABELS:
-            out = VermaVector.monomial(m).shift(COORD_LABELS.index(label))
+            out = VermaVector.monomial(m) * VermaVector.variable(COORD_LABELS.index(label) + 1)
         else:
             k = next((i for i, e in enumerate(m) if e > 0), None)
             if k is None:
@@ -97,7 +97,7 @@ def textbook_action(module, so7):
                 rest = list(m)
                 rest[k] -= 1
                 rest_m = tuple(rest)
-                out = act(label, rest_m).shift(k)
+                out = act(label, rest_m) * VermaVector.variable(k + 1)
                 for l2, c2 in so7.brackets.get((label, COORD_LABELS[k]), {}).items():
                     out = out + act(l2, rest_m).scale(c2)
         memo[key] = out
@@ -187,7 +187,7 @@ def test_cartan_diagonal_on_monomials(module, so7):
 
 
 def test_weight_of(module):
-    assert module.weight_of(VermaVector.highest_weight()).coords[0] == LAMBDA
+    assert module.weight_of(VermaVector.constant(1)).coords[0] == LAMBDA
     w = module.weight_of(VermaVector.monomial((0, 0, 0, 1, 0)))
     assert w.coords[0] == LAMBDA - 1
     assert w.coords[1] == LambdaPoly.const(-1)
@@ -228,7 +228,7 @@ def test_verma_grammar_roundtrip(module):
     vec = (
         VermaVector.monomial((1, 0, 0, 1, 0), 4)
         + VermaVector.monomial((0, 0, 2, 0, 0), F(-1, 2))
-        + VermaVector.highest_weight().scale(LAMBDA + 1)
+        + VermaVector.constant(1).scale(LAMBDA + 1)
     )
     s = str(vec)
     assert parse_verma(s) == vec
@@ -240,6 +240,50 @@ def test_verma_grammar_roundtrip(module):
 def test_verma_grammar_requires_cyclic_vector():
     with pytest.raises(ValueError):
         parse_verma("g_-1")
+
+
+# -- one polynomial type, two printers ---------------------------------------
+
+
+def test_arithmetic_and_action_keep_the_module_type(module):
+    u = VermaVector.monomial((1, 0, 0, 1, 0), 4) + VermaVector.constant(LAMBDA + 1)
+    w = VermaVector.monomial((0, 0, 2, 0, 0), F(-1, 2))
+    results = {
+        "+": u + w,
+        "-": u - w,
+        "neg": -u,
+        "scale": u.scale(LAMBDA - 2),
+        "*": u * VermaVector.variable(3),
+        "int*": 3 * u,
+        "**": u ** 2,
+        "evaluate_lambda": u.evaluate_lambda(F(-3, 2)),
+        "act": module.act({1: F(1)}, w * VermaVector.variable(1)),
+        "act at lam": module.act({-8: F(2)}, u, lam=F(1, 3)),
+        "zero": VermaVector.zero(),
+    }
+    for name, v in results.items():
+        assert type(v) is VermaVector, name
+        text = str(v)
+        assert "x" not in text, (name, text)
+        assert text == "0" or text.endswith("v"), (name, text)
+        assert repr(v) == f"VermaVector({text})", name
+        assert parse_verma(text) == v, name
+    assert str(results["+"]) == "4*g_-1*g_-9*v - 1/2*g_-6^2*v + (L + 1)*v"
+    assert str(results["act at lam"]) == "8*g_-1*g_-8*g_-9*v + 8/3*g_-8*v"
+    assert str(results["**"]) == "16*g_-1^2*g_-9^2*v + (8*L + 8)*g_-1*g_-9*v + (L^2 + 2*L + 1)*v"
+
+
+def test_a_polynomial_equals_the_module_vector_with_its_terms():
+    from g2fmethod.polynomials import XiPolynomial, parse_xi_polynomial
+
+    p = parse_xi_polynomial("4*x1*x4 + (L + 1) - 1/2*x3^2")
+    v = parse_verma("4*g_-1*g_-9*v - 1/2*g_-6^2*v + (L + 1)*v")
+    assert p == v and v == p
+    assert hash(p) == hash(v)
+    assert type(p) is XiPolynomial and str(p) == "4*x1*x4 - 1/2*x3^2 + (L + 1)"
+    assert v != p + XiPolynomial.variable(2)
+    # a mixed sum takes the type of its left operand
+    assert type(p + v) is XiPolynomial and type(v + p) is VermaVector
 
 
 # -- the compiled action against the earlier tuple-based one -----------------
