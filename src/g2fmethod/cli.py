@@ -9,7 +9,9 @@ any user-facing path.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 import time
@@ -18,37 +20,29 @@ from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
 from .embedding import (
     EXPECTED_ARROWS,
-    Embedding,
     embed_g2,
     inclusion_lattice,
-    intersect_parabolic,
+    meets_match_inclusions,
     parabolic,
 )
-from .fourier import GR_WEIGHTS
 from .liealg import (
     WeightVec,
     alpha_to_psi,
     build_g2_root_data,
     build_so_odd,
-    eps_weight,
     signed_sum,
 )
-from .operators import op_apply, parse_operator
-from .polynomials import XiPolynomial
-from .scalars import LambdaPoly, rational_from_string, rational_to_string
+from .scalars import rational_from_string, rational_to_string
 from .solver import (
     SolverContext,
     borel_annihilators,
-    hilbert_multiplicity,
     hilbert_series_check,
-    nonstandard_verdict,
-    oracle_matches_certificate,
     pprime_annihilators,
     solve_even,
     solve_odd,
-    symbolic_so7_difference,
-    verify_so7_singular,
 )
+from .suites import SUITES
+
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
 EXIT_CHECK_FAILED = 2
@@ -221,7 +215,7 @@ def cmd_embedding(args) -> int:
         return EXIT_OK
 
     lattice_ok = lat.arrows == EXPECTED_ARROWS
-    intersect_ok = _meets_match_inclusions(emb, lat)
+    intersect_ok = meets_match_inclusions(emb, lat)
     jac = emb.g2.jacobi_check()
     ok = lattice_ok and intersect_ok and jac
     h1 = ", ".join(f"{v}*{k}" for k, v in sorted(emb.gen("h1").items()))
@@ -393,226 +387,21 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _meets_match_inclusions(emb, lat) -> bool:
-    """The meet with each so(7) parabolic is the largest included one.
-
-    For every so(7) parabolic p: the meet q has its image inside p, and any
-    smaller-family parabolic whose image lies in p is contained in q.
-    """
-    ok = True
-    for name, p in lat.parabolics.items():
-        if p.algebra != "so7":
-            continue
-        q = intersect_parabolic(emb, p)
-        qname = q.name
-        if (qname, name) not in lat.inclusions:
-            ok = False
-        for oname, other in lat.parabolics.items():
-            if other.algebra != "g2" or oname == qname:
-                continue
-            if (oname, name) in lat.inclusions and (oname, qname) not in lat.inclusions:
-                ok = False
-    return ok
-
-
-def _suite_structure() -> Tuple[bool, str]:
-    so7 = build_so_odd(3)
-    ok = (
-        so7.dimension == 21
-        and len(so7.positive_root_labels) == 9
-        and so7.antisymmetry_check()
-        and so7.eigenvector_check()
-        and so7.jacobi_check()
-        and build_so_odd(2).dimension == 10
-    )
-    emb = embed_g2(so7)
-    ok = ok and emb.g2.dimension == 14 and emb.g2.jacobi_check()
-    return ok, "so(7) dim 21, 9 positive roots, Jacobi OK; image dim 14"
-
-
-def _suite_lattice(emb: Embedding) -> Tuple[bool, str]:
-    lat = inclusion_lattice(emb)
-    ok = lat.arrows == EXPECTED_ARROWS and _meets_match_inclusions(emb, lat)
-    # the drawn cross arrows realize the meet exactly
-    for qname, name in lat.arrows:
-        if qname.startswith("p'") and name.startswith("p("):
-            p = lat.parabolics[name]
-            if intersect_parabolic(emb, p).mask != lat.parabolics[qname].mask:
-                ok = False
-    return ok, f"{len(lat.arrows)} covering arrows; meets match inclusions"
-
-
-def _suite_operator(ctx: SolverContext) -> Tuple[bool, str]:
-    from .solver import I1, X3
-
-    P = ctx.lowering_op
-    expected = parse_operator(
-        "-x1*d1^2 - x3*d2 + (L)*d1 + x4*d3^2 + 2*x5*d3 - x5*d1*d5 "
-        "+ x4*d2*d5 - x2*d1*d2 - x3*d1*d3"
-    )
-    ok = P == expected
-    ok = ok and op_apply(P, X3) == XiPolynomial.variable(5) * 2
-    x4 = XiPolynomial.variable(4)
-    x3x5 = X3 * XiPolynomial.variable(5)
-    for b1 in range(6):
-        for b2 in range(6):
-            lhs = op_apply(P, (I1 ** b1) * ((X3 * X3) ** b2))
-            rhs = XiPolynomial.zero()
-            if b2 >= 1:
-                rhs = rhs + (
-                    x4 * (2 * b2 * (2 * b2 - 1)) + x3x5 * (4 * b2)
-                ) * (I1 ** b1) * ((X3 * X3) ** (b2 - 1))
-            if b1 >= 1:
-                rhs = rhs + (
-                    x4 * (LambdaPoly([2 - b1 - 2 * b2, 1]) * b1) - x3x5 * b1
-                ) * (I1 ** (b1 - 1)) * ((X3 * X3) ** b2)
-            if lhs != rhs:
-                ok = False
-    gr_ok = all(
-        sum(e * w for e, w in zip(xm, GR_WEIGHTS)) - sum(e * w for e, w in zip(dm, GR_WEIGHTS)) == 1
-        for (xm, dm) in P.terms
-    )
-    return ok and gr_ok, "nine-term operator exact; invariant action law holds; grading +1"
-
-
-def _suite_hilbert() -> Tuple[bool, str]:
-    report = hilbert_series_check(8)
-    ok = report.all_match
-    for l in range(9):
-        if hilbert_multiplicity(l, 0) != 1 + l // 2:
-            ok = False
-    return ok, "series, weight counts and closed forms agree to degree 8"
-
-
-def _suite_theorem(ctx: SolverContext) -> Tuple[bool, str]:
-    from .solver import I1, X3
-
-    ok = True
-    import math
-
-    for N in range(1, 7):
-        cert = solve_even(ctx, N, verify=False)
-        if cert is None or cert.lam != Fraction(2 * N - 5, 2):
-            ok = False
-            continue
-        if cert.coefficients != [Fraction(4 ** s * math.comb(N, s)) for s in range(N + 1)]:
-            ok = False
-        if cert.xi_polynomial != (I1 * 4 + X3 * X3) ** N:
-            ok = False
-    for N in range(0, 5):
-        if not solve_odd(ctx, N).empty_for_all_lambda:
-            ok = False
-    return ok, "even certificates 1..6 exact; odd searches 0..4 empty"
-
-
-def _suite_oracle(ctx: SolverContext) -> Tuple[bool, str]:
-    import random
-
-    ok = True
-    for N in (1, 2, 3):
-        cert = solve_even(ctx, N, verify=False)
-        if not oracle_matches_certificate(ctx, cert):
-            ok = False
-        if not verify_so7_singular(ctx, cert):
-            ok = False
-    rng = random.Random(20260809)
-    special = {Fraction(2 * N - 5, 2) for N in range(0, 8)}
-    tried = set()
-    anns = pprime_annihilators(ctx.emb)
-    while len(tried) < 10:
-        lam = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-        if lam in special or lam in tried:
-            continue
-        tried.add(lam)
-        for d in range(1, 7):
-            if ctx.module.singular_search(d, lam, anns):
-                ok = False
-    return ok, "module kernels match certificates; 10 off-parameter values empty"
-
-
-def _suite_weights(ctx: SolverContext) -> Tuple[bool, str]:
-    ok = True
-    notes = []
-    for N in (1, 2, 3):
-        cert = solve_even(ctx, N, verify=False)
-        w = ctx.module.weight_of(cert.verma_vector)
-        if w.coords[0](cert.lam) != -cert.lam - 5:
-            ok = False
-    sym = symbolic_so7_difference()
-    expect = eps_weight((LambdaPoly([5, 2]), LambdaPoly(), LambdaPoly([-1])))
-    if sym != expect:
-        ok = False
-    for k in range(5):
-        lam = Fraction(2 * k - 3, 2)
-        v = nonstandard_verdict(lam)
-        if not (v.in_regime and v.nonstandard_so7 and v.nonstandard_g2):
-            ok = False
-        if not (v.so7_witness and v.g2_witness):
-            ok = False
-        if not any(v.printed_g2_matches.values()):
-            notes.append("printed rank-2 difference not reproduced")
-    note = "; ".join(sorted(set(notes))) if notes else "all reflection data reproduced"
-    return ok, f"weights and verdicts exact; {note}"
-
-
-def _suite_properties(ctx: SolverContext) -> Tuple[bool, str]:
-    import random
-
-    from .operators import DiffOperator, op_compose
-    from .verma import VermaVector
-
-    rng = random.Random(97)
-    so7 = ctx.emb.so7
-    labels = so7.labels
-    ok = True
-    for _ in range(60):
-        x = {rng.choice(labels): Fraction(rng.randint(-2, 2))}
-        y = {rng.choice(labels): Fraction(rng.randint(-2, 2))}
-        m = tuple(rng.randint(0, 1) for _ in range(5))
-        v = VermaVector.monomial(m)
-        lhs = ctx.module.act(so7.bracket(x, y), v)
-        rhs = ctx.module.act(x, ctx.module.act(y, v)) - ctx.module.act(
-            y, ctx.module.act(x, v)
-        )
-        if lhs != rhs:
-            ok = False
-    # composition agrees with sequential application on random small data
-    for _ in range(20):
-        def rand_op():
-            terms = {}
-            for _ in range(2):
-                xm = tuple(rng.randint(0, 1) for _ in range(5))
-                dm = tuple(rng.randint(0, 1) for _ in range(5))
-                terms[(xm, dm)] = LambdaPoly.const(rng.randint(-3, 3))
-            return DiffOperator(terms)
-
-        d1, d2 = rand_op(), rand_op()
-        m = tuple(rng.randint(0, 2) for _ in range(5))
-        p = XiPolynomial.monomial(m)
-        if op_apply(op_compose(d1, d2), p) != op_apply(d1, op_apply(d2, p)):
-            ok = False
-    return ok, "representation and composition properties hold on samples"
-
-
 def cmd_verify(args) -> int:
+    """Run every suite on one context; a suite that raises is a FAIL line
+    naming the failed check, and the remaining suites still run."""
     ctx = SolverContext()
-    suites = [
-        ("structure", lambda: _suite_structure()),
-        ("lattice", lambda: _suite_lattice(ctx.emb)),
-        ("operator", lambda: _suite_operator(ctx)),
-        ("hilbert", lambda: _suite_hilbert()),
-        ("theorem", lambda: _suite_theorem(ctx)),
-        ("oracle", lambda: _suite_oracle(ctx)),
-        ("weights", lambda: _suite_weights(ctx)),
-        ("properties", lambda: _suite_properties(ctx)),
-    ]
     results = []
     lines = []
-    for name, fn in suites:
+    for name, suite in SUITES:
         t0 = time.time()
-        ok, detail = fn()
+        try:
+            ok, detail = True, suite(ctx)
+        except Exception as exc:
+            ok = False
+            detail = str(exc) if isinstance(exc, AssertionError) else f"{type(exc).__name__}: {exc}"
         dt = time.time() - t0
-        results.append({"name": name, "passed": bool(ok), "detail": detail})
+        results.append({"name": name, "passed": ok, "detail": detail})
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<10} {detail} ({dt:.1f}s)")
     all_ok = all(r["passed"] for r in results)
     lines.append("all suites passed" if all_ok else "FAILURES present")
@@ -717,8 +506,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` target that cannot be opened for writing, before
+    any work and without creating or truncating it.  ``_emit`` still reports
+    what only the write itself can show."""
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    _reject(f"cannot write {out}: {os.strerror(code)}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "out", None):
+        _check_out(args.out)
     return args.func(args)
 
 

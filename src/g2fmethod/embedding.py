@@ -367,6 +367,26 @@ def inclusion_lattice(emb: Embedding) -> InclusionLattice:
     return InclusionLattice(nodes=list(parabolics), arrows=arrows, inclusions=inclusions, parabolics=parabolics)
 
 
+def meets_match_inclusions(emb: Embedding, lat: InclusionLattice) -> bool:
+    """The meet with each so(7) parabolic is the largest included one.
+
+    For every so(7) parabolic p: the meet q has its image inside p, and any
+    smaller-family parabolic whose image lies in p is contained in q.
+    """
+    included = set(lat.inclusions)
+    for name, p in lat.parabolics.items():
+        if p.algebra != "so7":
+            continue
+        qname = intersect_parabolic(emb, p).name
+        if (qname, name) not in included:
+            return False
+        for oname, other in lat.parabolics.items():
+            if (other.algebra == "g2" and oname != qname
+                    and (oname, name) in included and (oname, qname) not in included):
+                return False
+    return True
+
+
 # the inclusion diagram fixture: covering arrows expected of the computation
 EXPECTED_ARROWS: List[Tuple[str, str]] = sorted(
     [

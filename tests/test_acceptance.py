@@ -1,50 +1,22 @@
 """Acceptance criteria, one test per criterion, exact tolerances.
 
-Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see them
-inline); all comparisons are exact equalities of rational or symbolic data,
-and every criterion asserts its stated runtime budget.
+Each criterion is one suite of ``g2fmethod.suites``, the same code that
+``g2fmethod verify`` runs; a test runs its suite under its runtime budget.
+Each test prints a single PASS/FAIL line with the suite's detail (run with
+``pytest -s`` to see them inline); all comparisons are exact equalities of
+rational or symbolic data.
 """
 
-import math
-import random
 import time
 from fractions import Fraction
 
-from g2fmethod.embedding import (
-    EXPECTED_ARROWS,
-    embed_g2,
-    inclusion_lattice,
-    intersect_parabolic,
-)
-from g2fmethod.liealg import (
-    alpha_weight,
-    build_g2_root_data,
-    build_so_odd,
-    g2_psi,
-    reflect,
-)
-from g2fmethod.operators import DiffOperator, op_apply, op_compose, parse_operator
-from g2fmethod.polynomials import XiPolynomial, parse_xi_polynomial
-from g2fmethod.scalars import LAMBDA, LambdaPoly
-from g2fmethod.solver import (
-    I1,
-    LAPLACE_DUAL,
-    PRINTED_G2_DIFFERENCE,
-    X3,
-    hilbert_multiplicity,
-    hilbert_series_check,
-    nonstandard_verdict,
-    oracle_matches_certificate,
-    pprime_annihilators,
-    solve_even,
-    solve_odd,
-    symbolic_g2_difference,
-    symbolic_so7_difference,
-    verify_so7_singular,
-)
-from g2fmethod.verma import VermaVector, parse_verma
+from g2fmethod.liealg import alpha_weight, build_g2_root_data, g2_psi, reflect
+from g2fmethod.scalars import LAMBDA
+from g2fmethod.solver import PRINTED_G2_DIFFERENCE, nonstandard_verdict, symbolic_g2_difference
+from g2fmethod.suites import SUITES
 
 F = Fraction
+SUITE = dict(SUITES)
 
 
 class Stopwatch:
@@ -70,128 +42,39 @@ class Stopwatch:
         return False
 
 
-def test_c1_structure_suite():
-    with Stopwatch("1 structure", 5):
-        so7 = build_so_odd(3)
-        assert so7.dimension == 21
-        assert len(so7.positive_root_labels) == 9
-        assert so7.antisymmetry_check()
-        assert so7.eigenvector_check()
-        assert so7.jacobi_check()
-        emb = embed_g2(so7)
-        assert emb.g2.dimension == 14
-        assert emb.g2.jacobi_check()
-        # bracket homomorphism on all basis pairs
-        for a in emb.g2.labels:
-            for b in emb.g2.labels:
-                assert emb.image_of(emb.g2.brackets[(a, b)]) == so7.bracket(
-                    emb.generator_images[a], emb.generator_images[b]
-                )
+def test_c1_structure_suite(ctx):
+    with Stopwatch("1 structure", 5) as sw:
+        sw.detail = SUITE["structure"](ctx)
 
 
-def test_c2_lattice_suite(emb):
-    with Stopwatch("2 lattice", 5):
-        lat = inclusion_lattice(emb)
-        assert lat.arrows == EXPECTED_ARROWS
-        for a, b in lat.arrows:
-            if a.startswith("p'") and b.startswith("p("):
-                q = intersect_parabolic(emb, lat.parabolics[b])
-                assert q.mask == lat.parabolics[a].mask
+def test_c2_lattice_suite(ctx):
+    with Stopwatch("2 lattice", 5) as sw:
+        sw.detail = SUITE["lattice"](ctx)
 
 
 def test_c3_operator_regression(ctx):
-    with Stopwatch("3 operator", 10):
-        P = ctx.lowering_op
-        expected = parse_operator(
-            "-x1*d1^2 - x3*d2 + (L)*d1 + x4*d3^2 + 2*x5*d3 - x5*d1*d5 "
-            "+ x4*d2*d5 - x2*d1*d2 - x3*d1*d3"
-        )
-        assert P == expected
-        assert op_apply(P, X3) == XiPolynomial.variable(5) * 2
-        x4 = XiPolynomial.variable(4)
-        x3x5 = X3 * XiPolynomial.variable(5)
-        for b1 in range(6):
-            for b2 in range(6):
-                lhs = op_apply(P, (I1 ** b1) * ((X3 * X3) ** b2))
-                rhs = XiPolynomial.zero()
-                if b2 >= 1:
-                    rhs = rhs + (
-                        x4 * (2 * b2 * (2 * b2 - 1)) + x3x5 * (4 * b2)
-                    ) * (I1 ** b1) * ((X3 * X3) ** (b2 - 1))
-                if b1 >= 1:
-                    rhs = rhs + (
-                        x4 * (LambdaPoly([2 - b1 - 2 * b2, 1]) * b1) - x3x5 * b1
-                    ) * (I1 ** (b1 - 1)) * ((X3 * X3) ** b2)
-                assert lhs == rhs, (b1, b2)
+    with Stopwatch("3 operator", 10) as sw:
+        sw.detail = SUITE["operator"](ctx)
 
 
-def test_c4_hilbert_suite():
-    with Stopwatch("4 hilbert", 30):
-        report = hilbert_series_check(8)
-        assert report.all_match, report.mismatches
-        for l in range(9):
-            assert hilbert_multiplicity(l, 0) == 1 + l // 2
+def test_c4_hilbert_suite(ctx):
+    with Stopwatch("4 hilbert", 30) as sw:
+        sw.detail = SUITE["hilbert"](ctx)
 
 
 def test_c5_theorem_suite(ctx):
-    with Stopwatch("5 theorem", 60):
-        for N in range(1, 7):
-            cert = solve_even(ctx, N, verify=False)
-            assert cert is not None, N
-            assert cert.lam == F(2 * N - 5, 2)
-            assert cert.coefficients == [
-                F(4 ** s * math.comb(N, s)) for s in range(N + 1)
-            ]
-            assert cert.xi_polynomial == LAPLACE_DUAL ** N
-        for N in range(0, 5):
-            rep = solve_odd(ctx, N)
-            assert rep.empty_for_all_lambda, N
+    with Stopwatch("5 theorem", 60) as sw:
+        sw.detail = SUITE["theorem"](ctx)
 
 
 def test_c6_oracle_equivalence(ctx):
-    with Stopwatch("6 oracle", 120):
-        for N in (1, 2, 3):
-            cert = solve_even(ctx, N, verify=False)
-            kernel = ctx.module.singular_search(
-                2 * N, cert.lam, pprime_annihilators(ctx.emb)
-            )
-            assert len(kernel) == 1
-            assert oracle_matches_certificate(ctx, cert)
-            assert verify_so7_singular(ctx, cert)
-        rng = random.Random(20260809)
-        special = {F(2 * k - 5, 2) for k in range(0, 10)}
-        anns = pprime_annihilators(ctx.emb)
-        picked = set()
-        while len(picked) < 10:
-            lam = F(rng.randint(-8, 8), rng.randint(1, 4))
-            if lam in special or lam in picked:
-                continue
-            picked.add(lam)
-            for d in range(1, 7):
-                assert ctx.module.singular_search(d, lam, anns) == [], (lam, d)
+    with Stopwatch("6 oracle", 120) as sw:
+        sw.detail = SUITE["oracle"](ctx)
 
 
 def test_c7_weights_and_homomorphisms(ctx):
-    with Stopwatch("7 weights", 5):
-        for N in (1, 2, 3):
-            cert = solve_even(ctx, N, verify=False)
-            w = ctx.module.weight_of(cert.verma_vector)
-            assert w.coords[0](cert.lam) == -cert.lam - 5
-            assert w.coords[1].is_zero() and w.coords[2].is_zero()
-        # the rank-3 reflection difference, symbolically
-        assert symbolic_so7_difference().coords == (
-            2 * LAMBDA + 5,
-            LambdaPoly(),
-            LambdaPoly([-1]),
-        )
-        for k in range(5):
-            lam = F(2 * k - 3, 2)
-            v = nonstandard_verdict(lam)
-            assert v.in_regime
-            assert v.so7_difference.coords == (2 * lam + 5, 0, -1)
-            assert v.so7_witness is not None
-            assert v.g2_witness is not None
-            assert v.nonstandard_so7 and v.nonstandard_g2
+    with Stopwatch("7 weights", 5) as sw:
+        sw.detail = SUITE["weights"](ctx)
 
 
 def test_c7_g2_difference_matches_printed_display():
@@ -257,58 +140,13 @@ def test_c7_g2_difference_matches_printed_display():
 
 
 def test_c8_property_suite(ctx):
-    with Stopwatch("8 properties", 60):
-        so7 = ctx.emb.so7
-        module = ctx.module
-        rng = random.Random(8128)
-        labels = so7.labels
-        # representation property on 200 random triples
-        for _ in range(200):
-            x = {rng.choice(labels): F(rng.randint(-3, 3))}
-            y = {rng.choice(labels): F(rng.randint(-3, 3))}
-            m = tuple(rng.randint(0, 2) for _ in range(5))
-            while sum(m) > 4:
-                m = tuple(rng.randint(0, 2) for _ in range(5))
-            v = VermaVector.monomial(m)
-            lhs = module.act(so7.bracket(x, y), v)
-            rhs = module.act(x, module.act(y, v)) - module.act(y, module.act(x, v))
-            assert lhs == rhs
-        # transported action is an algebra map on the generating set
-        from g2fmethod.fourier import fourier_act
+    with Stopwatch("8 properties", 60) as sw:
+        sw.detail = SUITE["properties"](ctx)
 
-        gens = [ctx.emb.gen(l) for l in (1, -1, 2, -2)] + [
-            {3: F(1)},
-            {-3: F(1)},
-            {1: F(1)},
-        ]
-        probe = [
-            XiPolynomial.monomial(m)
-            for m in [(1, 0, 0, 1, 0), (0, 1, 0, 0, 1), (0, 0, 2, 0, 0), (1, 1, 1, 0, 0)]
-        ]
-        for x in gens:
-            for y in gens:
-                br = so7.bracket(x, y)
-                for p in probe:
-                    lhs = fourier_act(module, br, p)
-                    rhs = fourier_act(module, x, fourier_act(module, y, p)) - fourier_act(
-                        module, y, fourier_act(module, x, p)
-                    )
-                    assert lhs == rhs
-        # normal ordering is a normal form
-        for _ in range(30):
-            terms = {}
-            for _ in range(2):
-                xm = tuple(rng.randint(0, 2) for _ in range(5))
-                dm = tuple(rng.randint(0, 2) for _ in range(5))
-                terms[(xm, dm)] = LambdaPoly.const(rng.randint(-3, 3))
-            a = DiffOperator(terms)
-            b = op_compose(a, ctx.lowering_op)
-            assert DiffOperator(b.terms) == b
-            assert op_compose(b, DiffOperator.constant(1)) == b
-        # serializations round-trip
-        for N in (1, 2):
-            cert = solve_even(ctx, N, verify=False)
-            assert parse_xi_polynomial(str(cert.xi_polynomial)) == cert.xi_polynomial
-            assert parse_verma(str(cert.verma_vector)) == cert.verma_vector
-        op = ctx.lowering_op
-        assert parse_operator(str(op)) == op
+
+def test_every_suite_has_its_acceptance_test():
+    """The suites the tests above run are exactly ``SUITES``: a new suite
+    needs its criterion here."""
+    tests = [fn for name, fn in globals().items() if name.startswith("test_c")]
+    run = [c for fn in tests for c in fn.__code__.co_consts if c in SUITE]
+    assert sorted(run) == sorted(SUITE)

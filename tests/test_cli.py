@@ -3,6 +3,7 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2fmethod import cli
 
@@ -230,19 +231,98 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().count("->") == 20
 
 
-def test_out_path_that_cannot_be_written_is_a_one_line_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "x"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["singular", "--homogeneity", "2", "--out", str(target)])
-    assert exc.value.code == cli.EXIT_USAGE
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"cannot write {target}: No such file or directory\n"
-    assert not target.parent.exists()
+def test_out_path_that_cannot_be_written_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("computed before --out was refused")
+
+    for name in ("solve_even", "embed_g2"):
+        monkeypatch.setattr(cli, name, work)
+    (tmp_path / "file").write_text("kept")
+    for target, message in ((tmp_path / "missing" / "x", "No such file or directory"),
+                            (tmp_path / "file" / "x", "Not a directory")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["singular", "--homogeneity", "600", "--out", str(target)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", f"cannot write {target}: {message}\n")
+    assert not (tmp_path / "missing").exists()
+    assert (tmp_path / "file").read_text() == "kept"
     with pytest.raises(SystemExit) as exc:
         cli.main(["embedding", "lattice", "--out", str(tmp_path)])
     assert exc.value.code == cli.EXIT_USAGE
     assert capsys.readouterr() == ("", f"cannot write {tmp_path}: Is a directory\n")
+
+
+def test_out_file_is_left_intact_when_the_request_is_refused(tmp_path, capsys):
+    target = tmp_path / "f"
+    target.write_text("kept")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["singular", "--homogeneity", "3", "--format", "latex", "--out", str(target)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "no latex form for this command\n")
+    assert target.read_text() == "kept"
+
+
+def _no_hilbert_multiplicity(l, t):
+    return 0
+
+
+def _unreadable_difference():
+    raise ValueError("difference unreadable")
+
+
+@pytest.mark.parametrize("name, replacement, failed, message", [
+    ("hilbert_multiplicity", _no_hilbert_multiplicity, "hilbert", "b(0,0) is not 1"),
+    ("symbolic_so7_difference", _unreadable_difference, "weights", "ValueError: difference unreadable"),
+])
+def test_verify_reports_a_failed_suite_and_runs_the_rest(capsys, monkeypatch, ctx, name, replacement,
+                                                         failed, message):
+    monkeypatch.setattr(cli, "SolverContext", lambda: ctx)
+    monkeypatch.setattr(f"g2fmethod.suites.{name}", replacement)
+    code = cli.main(["verify"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+    lines = out.splitlines()
+    assert lines[-1] == "FAILURES present"
+    fails = [l for l in lines if l.startswith("FAIL ")]
+    assert len(fails) == 1 and fails[0].startswith(f"FAIL  {failed:<10} {message} (")
+    assert sum(l.startswith("PASS ") for l in lines) == 7
+
+    code = cli.main(["verify", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (cli.EXIT_CHECK_FAILED, "")
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    assert [(r["name"], r["detail"]) for r in payload["suites"] if not r["passed"]] == [(failed, message)]
+    assert sum(r["passed"] for r in payload["suites"]) == 7
+
+
+_weight_texts = st.one_of(
+    st.text(max_size=30),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["", "+", "-", " - ", "+ "]),
+            st.sampled_from(["", "0", "2", "2*", "1/2", "3/4 * ", "1/0*"]),
+            st.sampled_from(sorted(cli._WEIGHT_NAMES) + ["zeta1", "eps4"]),
+        ),
+        min_size=1,
+        max_size=4,
+    ).map(lambda terms: " ".join("".join(t) for t in terms)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_weight_texts)
+def test_parse_weight_round_trips_or_refuses(text):
+    try:
+        w = cli.parse_weight(text)
+    except ValueError:
+        return
+    if all(c == 0 for c in w.coords):
+        # the zero weight prints as "0", which names neither coordinate
+        # family, so it cannot be read back
+        assert str(w) == "0"
+    else:
+        assert cli.parse_weight(str(w)) == w
 
 
 def test_weight_parse_errors(capsys):
