@@ -1,10 +1,15 @@
-"""Exact linear algebra: one field eliminator, and Bareiss as the ring case.
+"""Exact linear algebra: one fraction-free eliminator, and Bareiss as the ring case.
 
 * ``SparseSpan`` is the one eliminator over the rationals: sparse
   Gauss-Jordan elimination that takes vectors one at a time and keeps its
-  rows fully reduced.  ``rref``, ``rank`` and ``kernel_basis`` read it row
-  by row; the bracket tables express commutators in it, the embedding
-  closure grows in it, and the parabolic inclusions test containment in it.
+  rows fully reduced.  It is fraction-free: each vector is scaled once to
+  integer entries, and every reduction is  row = p*row - f*v  on Python
+  ``int``s, with each row kept primitive.  ``Fraction``s appear only where a
+  result is read: ``rref``, ``rank`` and ``kernel_basis`` divide each row by
+  its pivot entry, and ``express`` gives rational coordinates.  The bracket
+  tables express commutators in it, the embedding closure grows in it, the
+  parabolic inclusions test containment in it, and the PBW oracle's integer
+  rows go straight into it.
 * Over the polynomial ring in the formal parameter, fraction-free (Bareiss)
   elimination locates every rational parameter value at which a matrix
   drops rank.  It runs on integer layers: each row is scaled once to
@@ -22,6 +27,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import mul
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .scalars import IntPoly, LambdaPoly, integer_layers, layers_exact_div, layers_mul_sub, poly_gcd
@@ -35,14 +42,18 @@ Matrix = List[Row]
 # ---------------------------------------------------------------------------
 
 
-def _sparse_rref(matrix: Sequence[Sequence[Fraction]]) -> Tuple[List[Dict[int, Fraction]], List[int]]:
-    """Reduced row echelon form as sparse rows: the rows of a ``SparseSpan``
-    of the matrix rows, sorted by pivot."""
+def _sparse_rref(matrix: Sequence[Sequence]) -> Tuple[List[Dict[int, int]], List[int]]:
+    """Reduced row echelon form as primitive integer rows, sorted by pivot:
+    the rows of a ``SparseSpan`` of the matrix rows.  Entries may be ``int``
+    or ``Fraction``."""
     span = SparseSpan()
+    cols = len(matrix[0]) if matrix else 0
     for row in matrix:
-        span._insert({j: x for j, x in enumerate(row) if x})
-    pivots = sorted(span.rows)
-    return [span.rows[pc] for pc in pivots], pivots
+        if span.dimension == cols:
+            break                       # every further row is inside
+        span.add(dict(enumerate(row)))
+    pivots = sorted(span._rows)
+    return [span._rows[pc] for pc in pivots], pivots
 
 
 def axpy(y: Dict[int, Fraction], a: Fraction, x: Dict[int, Fraction]) -> None:
@@ -64,7 +75,7 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
         return [], []
     cols = len(matrix[0])
     rows, pivots = _sparse_rref(matrix)
-    dense = [[row.get(j, Fraction(0)) for j in range(cols)] for row in rows]
+    dense = [[Fraction(row.get(j, 0), row[pc]) for j in range(cols)] for row, pc in zip(rows, pivots)]
     dense += [[Fraction(0)] * cols for _ in range(len(matrix) - len(rows))]
     return dense, pivots
 
@@ -77,6 +88,8 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Basis of the right kernel, one vector per free column.
 
     Each vector has entry 1 at its free column, making the basis canonical.
+    Entries of ``matrix`` may be ``int`` or ``Fraction``; the basis is
+    ``Fraction``.
     """
     if not matrix:
         return []
@@ -92,31 +105,62 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
         for row, pc in zip(rows, pivots):
             x = row.get(fc)
             if x:
-                v[pc] = -x
+                v[pc] = Fraction(-x, row[pc])
         basis.append(v)
     return basis
 
 
+def _integral(vec: Dict) -> Tuple[Dict, int]:
+    """The nonzero entries of ``vec`` times the lcm of their denominators,
+    as ``int``s, and that lcm."""
+    v = dict(compress(vec.items(), vec.values()))
+    if all(map(isinstance, v.values(), repeat(int))):
+        return v, 1
+    scale = math.lcm(*(x.denominator for x in v.values()))
+    return {k: x.numerator * (scale // x.denominator) for k, x in v.items()}, scale
+
+
+def _combine(a: int, y: Dict, b: int, x: Dict) -> Dict:
+    """a*y - b*x as a new sparse row, entries that cancel dropped."""
+    out = dict(zip(y, map(mul, y.values(), repeat(a)))) if a != 1 else dict(y)
+    get = out.get
+    for k, v in x.items():
+        s = get(k, 0) - b * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
 class SparseSpan:
-    """A subspace built one vector at a time by sparse Gauss-Jordan elimination.
+    """A subspace built one vector at a time by fraction-free sparse
+    Gauss-Jordan elimination.
 
     Vectors are dicts from comparable keys (column indices, matrix positions,
-    basis positions) to nonzero ``Fraction`` values.  An added vector is
-    reduced against the rows kept so far; when something survives, it is
-    normalized at its least key, its pivot, and that key is cleared from the
-    earlier rows.  The rows stay fully reduced (each is 1 at its pivot and 0
+    basis positions) to ``int`` or ``Fraction`` values.  An added vector
+    drops its zero entries and is scaled once by the lcm of its
+    denominators; the span keeps only integer rows.  The vector is reduced
+    against the rows kept so far, at each of their pivots it meets, by
+    v = p*v - f*row  (p the row's pivot entry and f the vector's entry
+    there, both divided by their gcd).  When something survives, it is made
+    primitive (its content divided out) with a positive entry at its least
+    key, its pivot, and that key is cleared from the earlier rows the same
+    way, each made primitive again.  The rows stay fully reduced (each is 0
     at every other row's pivot), so a vector's coordinate along a row is its
-    entry at that row's pivot, and the rows sorted by pivot are the unique
-    reduced row echelon form.
+    entry at that row's pivot over the row's, and the rows sorted by pivot,
+    each divided by its pivot entry (``rows``), are the unique reduced row
+    echelon form.
 
     A vector added with a label also records the combination of labelled
-    vectors each row stands for, so ``express`` can give coordinates in that
-    basis; an unlabelled vector does no such work.  A span's vectors are
-    either all labelled or all not.
+    vectors each row stands for, as ``Fraction``s that follow the same row
+    operations, so ``express`` can give coordinates in that basis; an
+    unlabelled vector does no such work.  A span's vectors are either all
+    labelled or all not.
     """
 
     def __init__(self, basis: Optional[Dict[Hashable, Dict]] = None):
-        self.rows: Dict = {}        # pivot -> fully reduced row
+        self._rows: Dict = {}       # pivot -> primitive integer row, positive at its pivot
         self.combos: Dict = {}      # pivot -> the row as a combination of labels
         self.labels: List = []
         for label, vec in (basis or {}).items():
@@ -125,62 +169,73 @@ class SparseSpan:
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> Dict:
+        """pivot -> the row divided by its pivot entry: 1 there, 0 at every
+        other pivot."""
+        return {pc: {k: Fraction(x, row[pc]) for k, x in row.items()} for pc, row in self._rows.items()}
 
     def add(self, vec: Dict, label: Optional[Hashable] = None) -> bool:
         """Extend the span by ``vec``; False, and no change, when it is inside."""
-        return self._insert(dict(vec), label)
-
-    def _insert(self, v: Dict, label: Optional[Hashable] = None) -> bool:
-        """``add`` that reduces ``v`` itself in place: ``_sparse_rref`` hands
-        it each freshly built matrix row, saving a copy per row."""
-        rows = self.rows
-        hits = [k for k in v if k in rows]
-        if label is not None:
-            combo = {label: Fraction(1)}
-            for q in hits:
-                axpy(combo, -v[q], self.combos[q])
-        for q in hits:
-            axpy(v, -v[q], rows[q])
+        v, scale = _integral(vec)
+        combo = None if label is None else {label: Fraction(scale)}
+        v, combo = self._reduce(v, combo)
         if not v:
             return False
         pc = min(v)
-        pv = v[pc]
-        v = {k: x / pv for k, x in v.items()}
-        if label is not None:
-            combo = {k: x / pv for k, x in combo.items()}
-            for q, row in rows.items():
-                f = row.get(pc)
-                if f:
-                    axpy(self.combos[q], -f, combo)
-            self.combos[pc] = combo
-            self.labels.append(label)
-        for row in rows.values():
+        g = math.gcd(*v.values())
+        if v[pc] < 0:
+            g = -g
+        if g != 1:
+            v = {k: x // g for k, x in v.items()}
+            if combo is not None:
+                combo = {k: x / g for k, x in combo.items()}
+        p = v[pc]
+        rows = self._rows
+        for q, row in rows.items():
             f = row.get(pc)
             if f:
-                axpy(row, -f, v)
+                h = math.gcd(p, f)
+                a, b = p // h, f // h
+                row = _combine(a, row, b, v)
+                h = math.gcd(*row.values())
+                rows[q] = {k: x // h for k, x in row.items()} if h != 1 else row
+                if combo is not None:
+                    c = _combine(a, self.combos[q], b, combo)
+                    self.combos[q] = {k: x / h for k, x in c.items()} if h != 1 else c
         rows[pc] = v
+        if combo is not None:
+            self.combos[pc] = combo
+            self.labels.append(label)
         return True
 
-    def _residual(self, vec: Dict) -> Dict:
-        """``vec`` minus its projection on the rows, as a new dict."""
-        v = dict(vec)
-        for q in [k for k in vec if k in self.rows]:
-            axpy(v, -vec[q], self.rows[q])
-        return v
+    def _reduce(self, v: Dict, combo: Optional[Dict] = None) -> Tuple[Dict, Optional[Dict]]:
+        """An integer vector reduced against the rows: at each row pivot it
+        meets, v = p*v - f*row; with ``combo``, the same operations on it."""
+        rows = self._rows
+        for q in v.keys() & rows.keys():
+            row = rows[q]
+            p, f = row[q], v[q]
+            h = math.gcd(p, f)
+            v = _combine(p // h, v, f // h, row)
+            if combo is not None:
+                combo = _combine(p // h, combo, f // h, self.combos[q])
+        return v, combo
 
     def contains(self, vec: Dict) -> bool:
-        return not self._residual(vec)
+        return not self._reduce(_integral(vec)[0])[0]
 
     def express(self, vec: Dict) -> Optional[Dict]:
         """Coordinates of ``vec`` in the labelled basis, in label order, or
         None outside the span."""
-        if self._residual(vec):
+        if not self.contains(vec):
             return None
         coords: Dict = {}
         for q, x in vec.items():
-            if q in self.combos:
-                axpy(coords, x, self.combos[q])
+            if x and q in self.combos:
+                axpy(coords, Fraction(x, self._rows[q][q]), self.combos[q])
         return {l: coords[l] for l in self.labels if l in coords}
 
 

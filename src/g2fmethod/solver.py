@@ -653,11 +653,16 @@ def oracle_matches_certificate(ctx: SolverContext, cert: SingularCertificate) ->
     kernel = ctx.module.singular_search(
         2 * cert.homogeneity_half, cert.lam, pprime_annihilators(ctx.emb)
     )
+    return kernel_matches_certificate(kernel, cert)
+
+
+def kernel_matches_certificate(kernel: List[VermaVector], cert: SingularCertificate) -> bool:
+    """``kernel`` is one vector, proportional over the rationals to the
+    certificate's enveloping-algebra vector."""
     if len(kernel) != 1:
         return False
     found = kernel[0]
     target = cert.verma_vector
-    # proportionality over the rationals
     ratio = None
     if set(found.terms) != set(target.terms):
         return False

@@ -344,10 +344,19 @@ class VermaModule:
     ) -> List[VermaVector]:
         """Exact kernel of the stacked annihilator action in one degree.
 
-        The degree space splits by Cartan weight; each block is solved
-        separately and the kernels are concatenated, which keeps the
-        elimination small.  The action runs at ``lam0``, over the integers,
-        and each entry is divided by the annihilator's common denominator.
+        The degree space splits by Cartan weight, and each block is solved
+        separately, its kernel concatenated to the others': every
+        annihilator is a weight vector, so its action maps the monomials of
+        one weight into one weight space, and the stacked matrix is block
+        diagonal in these blocks.  That keeps the elimination small.
+
+        The action runs at ``lam0`` over the integers: it is 1/den times the
+        integer action of the compiled moves, with ``den`` the annihilator's
+        common denominator.  Each row of the matrix is one (annihilator,
+        output monomial) pair, so dividing it by ``den`` would scale the
+        whole row, which leaves the kernel unchanged; the integer rows go to
+        ``kernel_basis`` undivided, and its canonical basis does not depend
+        on the order of the rows either.
         """
         if degree < 0:
             raise ValueError("degree must be non-negative")
@@ -358,24 +367,24 @@ class VermaModule:
             blocks.setdefault(key, []).append(m)
 
         w = _width(monos)
-        actions = [self._compile(ann, w, lam0) for ann in annihilators]
+        actions = [self._compile(ann, w, lam0)[0] for ann in annihilators]
         vectors: List[VermaVector] = []
         for key in sorted(blocks):
             block = blocks[key]
-            rows: Dict[Tuple[int, int], List[Fraction]] = {}
+            # one row per (annihilator, output monomial)
+            rows: List[Dict[int, List[int]]] = [{} for _ in actions]
             for col, m in enumerate(block):
                 code = pack_monomial(m, w)
-                for ai, (groups, den) in enumerate(actions):
+                for groups, out in zip(actions, rows):
                     image: Dict[int, int] = {}
                     _apply(groups, ((code, 1),), w, image, 0)
                     for t, val in image.items():
-                        if val == 0:
-                            continue
-                        row = rows.setdefault(
-                            (ai, t), [Fraction(0)] * len(block)
-                        )
-                        row[col] += Fraction(val, den)
-            matrix = [rows[k] for k in sorted(rows, key=lambda k: (k[0], unpack_monomial(k[1], w)))]
+                        if val:
+                            row = out.get(t)
+                            if row is None:
+                                row = out[t] = [0] * len(block)
+                            row[col] += val
+            matrix = [row for out in rows for row in out.values()]
             if not matrix:
                 kernel = [
                     [Fraction(1) if i == j else Fraction(0) for j in range(len(block))]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -377,3 +378,67 @@ def test_span_add_reports_growth_and_leaves_its_input_alone():
     assert v == {2: F(3), 5: F(1)} and w == {2: F(1), 5: F(1, 3)}
     assert span.add({5: F(2), 7: F(1)})
     assert span.rows == {2: {2: F(1), 7: F(-1, 6)}, 5: {5: F(1), 7: F(1, 2)}}
+
+
+def test_span_drops_explicit_zero_entries():
+    span = linsolve.SparseSpan()
+    assert span.add({0: F(0), 1: F(1)})
+    assert span.rows == {1: {1: F(1)}}
+    span = linsolve.SparseSpan({"a": {1: 1}})
+    assert span.contains({0: F(0), 1: F(2)})
+    assert span.express({0: F(0), 1: F(2)}) == {"a": F(2)}
+
+
+# ---------------------------------------------------------------------------
+# the integer route: int and mixed int/Fraction rows
+# ---------------------------------------------------------------------------
+
+
+def integer_route_matrix(rng):
+    """Rows of ints, of fractions with numerators and denominators up to
+    2^64, and of both, plus integer multiples of earlier rows."""
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    m = []
+    for _ in range(rows):
+        kind = rng.choice(("int", "big", "mixed"))
+        row = []
+        for _ in range(cols):
+            if rng.random() < 0.4:
+                row.append(0)
+            elif kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+                row.append(rng.randint(-9, 9))
+            else:
+                row.append(F(rng.randint(-2 ** 64, 2 ** 64), rng.randint(1, 2 ** 64)))
+        m.append(row)
+    for _ in range(rng.randint(0, 3)):
+        k = rng.choice((-3, 2, 7, 2 ** 64))
+        m.insert(rng.randint(0, len(m)), [k * x for x in rng.choice(m)])
+    return m
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_integer_and_mixed_rows_match_textbook_gauss_jordan(seed):
+    rng = random.Random(9000 + seed)
+    for _ in range(5):
+        m = integer_route_matrix(rng)
+        exact = [[F(x) for x in row] for row in m]
+        ref, ref_pivots = textbook_rref(exact)
+        red, pivots = rref(m)
+        assert (red, pivots) == (ref, ref_pivots)
+        assert rank(m) == len(ref_pivots)
+        kernel = kernel_basis(m)
+        assert kernel == textbook_kernel(exact)
+        assert all(type(x) is F for row in red + kernel for x in row)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_span_keeps_primitive_integer_rows_positive_at_their_pivots(seed):
+    rng = random.Random(9500 + seed)
+    span = linsolve.SparseSpan()
+    for row in integer_route_matrix(rng):
+        span.add(dict(enumerate(row)))
+    for pc, row in span._rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == pc and row[pc] > 0
+        assert math.gcd(*row.values()) == 1
+        assert not any(q in row for q in span._rows if q != pc)

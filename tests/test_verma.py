@@ -11,6 +11,7 @@ from g2fmethod.polynomials import NVARS
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 from g2fmethod.solver import borel_annihilators, pprime_annihilators, pprime_full_annihilators, solve_even
 from g2fmethod.verma import COORD_LABELS, VermaModule, VermaVector, _first_root_grading, parse_verma
+from test_linsolve import textbook_kernel
 
 F = Fraction
 
@@ -222,6 +223,45 @@ def test_singular_search_examples(module, emb):
     assert module.singular_search(1, F(7, 3), borel) == []
     with pytest.raises(ValueError):
         module.singular_search(-1, F(1, 2), anns)
+
+
+def fraction_route_search(module, degree, lam0, annihilators):
+    """The search over the rationals: each entry the value of the action at
+    ``lam0`` (a Fraction, divided by its denominator), rows sorted by
+    (annihilator, output monomial), and the kernel by dense textbook
+    Gauss-Jordan."""
+    blocks = {}
+    for m in module.monomials_of_degree(degree):
+        blocks.setdefault((m[0] - m[3], m[4] - m[1]), []).append(m)
+    vectors = []
+    for key in sorted(blocks):
+        block = blocks[key]
+        rows = {}
+        for col, m in enumerate(block):
+            for ai, ann in enumerate(annihilators):
+                for t, c in module.act(ann, VermaVector.monomial(m), lam0).terms.items():
+                    rows.setdefault((ai, t), [F(0)] * len(block))[col] += c.constant_value()
+        matrix = [rows[k] for k in sorted(rows)]
+        if matrix:
+            kernel = textbook_kernel(matrix)
+        else:
+            kernel = [[F(int(i == j)) for j in range(len(block))] for i in range(len(block))]
+        vectors += [VermaVector({m: LambdaPoly.const(c) for m, c in zip(block, vec) if c})
+                    for vec in kernel]
+    return vectors
+
+
+@pytest.mark.parametrize("annihilators", ["pprime", "borel"])
+@pytest.mark.parametrize("degree", range(9))
+def test_integer_search_matches_the_fraction_route(module, emb, annihilators, degree):
+    anns = (pprime_annihilators if annihilators == "pprime" else borel_annihilators)(emb)
+    rng = random.Random(1900 + degree)
+    lams = [F(degree - 5, 2), F(-rng.randint(1, 9)), F(rng.randint(-9, 9), rng.choice((3, 4, 7)))]
+    for lam in lams:
+        got = module.singular_search(degree, lam, anns)
+        want = fraction_route_search(module, degree, lam, anns)
+        assert [list(v.terms.items()) for v in got] == [list(v.terms.items()) for v in want]
+        assert got == want
 
 
 def test_verma_grammar_roundtrip(module):
