@@ -180,6 +180,8 @@ def cmd_embedding(args) -> int:
             w = parse_weight(args.weight)
         except ValueError as exc:
             _reject(str(exc))
+    elif args.weight is not None:
+        _reject(f"embedding {args.action} takes no --weight")
     if args.action != "lattice":
         _require_form(args, "text", "json")
     if args.action == "project":
@@ -286,14 +288,19 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_singular(args) -> int:
+    # the three modes exclude each other in the parser
+    if not (args.show_operator or args.scan or args.homogeneity is not None):
+        _reject("one of --homogeneity, --scan, --show-operator is required")
+    if args.max_degree is not None and not args.scan:
+        _reject("--max-degree is only for --scan")
     if args.show_operator:
         op = SolverContext().lowering_op
         _emit(args, lambda: str(op), payload=lambda: {"operator": str(op)}, latex=op.to_latex)
         return EXIT_OK
     if args.scan:
-        if not args.max_degree:
+        if args.max_degree is None:
             _reject("--scan requires --max-degree")
-        if args.max_degree < 0:
+        if args.max_degree < 1:
             _reject("max-degree must be positive")
         _require_form(args, "text", "json")
         ctx = SolverContext()
@@ -320,8 +327,6 @@ def cmd_singular(args) -> int:
         }
         _emit(args, lambda: text, payload=lambda: payload)
         return EXIT_OK
-    if args.homogeneity is None:
-        _reject("one of --homogeneity, --scan, --show-operator is required")
     d = args.homogeneity
     if d < 1:
         _reject("homogeneity must be positive")
@@ -483,10 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("singular", help="singular vector certificates")
-    p.add_argument("--homogeneity", type=_capped("singular --homogeneity"), default=None)
-    p.add_argument("--scan", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--homogeneity", type=_capped("singular --homogeneity"), default=None)
+    mode.add_argument("--scan", action="store_true")
+    mode.add_argument("--show-operator", action="store_true")
     p.add_argument("--max-degree", type=_capped("singular --max-degree"), default=None)
-    p.add_argument("--show-operator", action="store_true")
     _add_common(p, formats=("text", "json", "latex"))
     p.set_defaults(func=cmd_singular)
 

@@ -3,8 +3,8 @@
 The module identifies monomials in the five dual coordinates with ordered
 monomials of the opposite nilradical (coordinate i of the polynomial ring
 matches the i-th nilradical generator), transports the module action through
-that identification, and recovers normal-ordered differential operators by
-triangular interpolation plus over-determined verification.
+that identification, and reads the normal-ordered differential operator of
+an element off the module's action tables, whose moves are its terms.
 
 The grading weights of the coordinates under the central Levi element are
 (-1, -3, -2, -3, -1); derivatives carry the opposite sign.
@@ -12,15 +12,15 @@ The grading weights of the coordinates under the central Levi element are
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .embedding import Embedding
 from .liealg import Element
-from .operators import DiffOperator, op_apply
-from .polynomials import Monomial, XiPolynomial
-from .scalars import LambdaPoly
+# op_apply is not called here; it is imported because bench/tracing.py
+# patches the name ``fourier.op_apply``
+from .operators import DiffOperator, op_apply  # noqa: F401
+from .polynomials import XiPolynomial
 from .verma import VermaModule, VermaVector
 
 GR_WEIGHTS: Tuple[int, ...] = (-1, -3, -2, -3, -1)
@@ -42,43 +42,15 @@ def fourier_act(module: VermaModule, x: Element, p: XiPolynomial) -> XiPolynomia
 
 
 def extract_diffop(module: VermaModule, x: Element, max_order: int) -> DiffOperator:
-    """The unique normal-ordered operator of bounded order matching the action.
+    """The normal-ordered operator by which ``x`` acts, read off the module's
+    moves (``VermaModule.operator_terms``).  Normal order is a normal form,
+    so this is the unique operator matching the transported action.
 
-    Coefficients are recovered monomial by monomial: applying the operator to
-    a monomial whose exponents equal a derivative multi-index isolates that
-    index's coefficients once lower indices are known.  The result is then
-    checked against the transported action on the five degrees beyond the
-    interpolation range; any residual raises (the order bound was too low).
+    ``max_order`` bounds the order: a higher-order operator raises.
     """
-    coeffs: Dict[Tuple[Monomial, Monomial], LambdaPoly] = {}
-    monos: list[Monomial] = []
-    for d in range(0, max_order + 1):
-        monos.extend(module.monomials_of_degree(d))
-    monos.sort(key=lambda m: (sum(m), m))
-
-    def multi_factorial(m: Monomial) -> int:
-        out = 1
-        for e in m:
-            out *= math.factorial(e)
-        return out
-
-    for beta in monos:
-        mono = XiPolynomial.monomial(beta)
-        image = fourier_act(module, x, mono)
-        # lower multi-indices are known; what remains is the beta term,
-        # residual = beta! * sum_alpha coeff[alpha, beta] * x^alpha
-        residual = image - op_apply(DiffOperator(coeffs), mono)
-        scale = Fraction(1, multi_factorial(beta))
-        for alpha, c in residual.terms.items():
-            coeffs[(alpha, beta)] = c * scale
-    D = DiffOperator(coeffs)
+    D = DiffOperator(module.operator_terms(x))
     if D.order() > max_order:
-        raise ValueError("order too low: interpolation left higher terms")
-    for d in range(max_order + 1, max_order + 6):
-        for m in module.monomials_of_degree(d):
-            mono = XiPolynomial.monomial(m)
-            if op_apply(D, mono) != fourier_act(module, x, mono):
-                raise ValueError("order too low: verification mismatch")
+        raise ValueError(f"order too low: the operator has order {D.order()}, above {max_order}")
     return D
 
 

@@ -357,7 +357,11 @@ def _true_entries(row: Tuple[Dict[int, IntPoly], int, IntPoly], prev: IntPoly) -
     return {j: layers_exact_div(layers_mul_sub(e, prev), stamp) for j, e in entries.items()}
 
 
-def param_solve(M: PMatrix, extra_minor_budget: int = 64) -> ParamSolveResult:
+# the most further maximal minors a residual factor is tested against
+MINOR_BUDGET = 64
+
+
+def param_solve(M: PMatrix) -> ParamSolveResult:
     """Every rational parameter value with a nontrivial kernel, with bases.
 
     Method: fraction-free elimination gives the generic rank and a pivot
@@ -384,7 +388,7 @@ def param_solve(M: PMatrix, extra_minor_budget: int = 64) -> ParamSolveResult:
     result.solutions.sort(key=lambda t: t[0])
     residual = pivot_det.deflate_rational_roots(candidates)
     if residual.degree > 0:
-        residual = _certify_minors(M, residual, extra_minor_budget)
+        residual = _certify_minors(M, residual, MINOR_BUDGET)
         if residual.degree > 0:
             result.unresolved_factors.append(residual)
     return result

@@ -25,12 +25,15 @@ where the brackets, of grade -1, act by multiplication.  So X acts by
 mult = 1, m_i, or m_i (m - e_i)_j  for no derivative, d_i, or d_i d_j.
 ``chi(X)``, ``[X, y_i]`` and ``[[X, y_i], y_j]`` are tabulated as moves once
 per basis label, with the parameter symbolic, so memory does not grow with
-the degree.
+the degree.  Read in the dual coordinates, the moves are the normal-ordered
+terms of the differential operator by which X acts (the F-method operator):
+the move (i, j, delta) with coefficient c is the term
+c x^(delta + e_i + e_j) d_i d_j,  where j = -1 drops e_j and d_j, and
+i = -1 drops e_i and d_i as well (``operator_terms``).
 
-Each call compiles its element once (the symbolic form is remembered per
-element and width): the labels' moves are merged (moves that agree in
-(i, j, delta) are summed) and each delta becomes the offset of a packed
-code.  A monomial is packed into one ``int`` with its degree in the
+Each call compiles its element once: the labels' moves are merged (moves
+that agree in (i, j, delta) are summed) and each delta becomes the offset
+of a packed code.  A monomial is packed into one ``int`` with its degree in the
 top field and one field per exponent, the field width taken from the
 input's largest exponent, so a move is one addition to the code and one
 multiply-add of coefficients.  Over ``LambdaPoly`` this is the symbolic
@@ -133,8 +136,6 @@ class VermaModule:
         self._memo: Dict[Label, Dict[Move, LambdaPoly]] = {
             l: self._action_table(l, grade[l]) for l in so7.labels
         }
-        # the symbolic compiled form of each element acted with, per width
-        self._symbolic: Dict[Tuple[frozenset, int], List[Group]] = {}
 
     def _y_coords(self, x: Element) -> Tuple[Tuple[int, Fraction], ...]:
         """A grade -1 element as (coordinate position, coefficient) pairs."""
@@ -193,23 +194,35 @@ class VermaModule:
                 merged[move] = merged.get(move, ZERO) + a * c
         return {move: a for move, a in merged.items() if a}
 
+    def operator_terms(self, x: Element) -> Dict[Tuple[Monomial, Monomial], LambdaPoly]:
+        """The action of ``x`` as normal-ordered operator terms
+        ``(xm, dm) -> c``, each the term  c x^xm d^dm.
+
+        Each merged move is one term, since  d_i d_j x^m = m_i (m - e_i)_j
+        x^(m - e_i - e_j):  the move (i, j, delta) is  x^(delta + e_i + e_j)
+        d_i d_j,  with no d_j for j = -1 and no derivative for i = -1.
+        """
+        terms: Dict[Tuple[Monomial, Monomial], LambdaPoly] = {}
+        for (i, j, delta), c in self._moves(_element_key(x)).items():
+            dm = [0] * NVARS
+            for k in (i, j):
+                if k >= 0:
+                    dm[k] += 1
+            terms[(tuple(map(add, delta, dm)), tuple(dm))] = c
+        return terms
+
     def _compile(self, x: Element, w: int, lam: Optional[Fraction] = None) -> Tuple[List[Group], int]:
         """The action of ``x`` on codes of field width ``w``, and a denominator.
 
         The merged moves are grouped by their exponent change (``_group``),
         each turned into the offset of the packed code.  Without ``lam`` the coefficients are
-        parameter polynomials and the denominator is 1; this form is
-        remembered per element and width, for the operator extraction acts
-        with a few elements on many single monomials.  With ``lam`` they are
-        the values at ``lam`` times their least common denominator ``den``,
-        so the action is 1/den times the integer one.
+        parameter polynomials and the denominator is 1.  With ``lam`` they
+        are the values at ``lam`` times their least common denominator
+        ``den``, so the action is 1/den times the integer one.
         """
         key = _element_key(x)
         if lam is None:
-            groups = self._symbolic.get((key, w))
-            if groups is None:
-                groups = self._symbolic[(key, w)] = _group(self._moves(key), w)
-            return groups, 1
+            return _group(self._moves(key), w), 1
         values = {move: q for move, q in ((move, a(lam)) for move, a in self._moves(key).items()) if q}
         den = math.lcm(*(q.denominator for q in values.values()))
         return _group({move: q.numerator * (den // q.denominator) for move, q in values.items()}, w), den

@@ -82,6 +82,11 @@ def _cases() -> List[List[str]]:
         ["singular", "--homogeneity", "301", "--format", "latex"],
         ["singular", "--scan", "--max-degree", "4", "--format", "latex"],
         ["singular", "--scan", "--max-degree", "-3"],
+        ["singular", "--scan", "--max-degree", "0"],
+        ["singular", "--homogeneity", "4", "--scan", "--max-degree", "2"],
+        ["singular", "--show-operator", "--homogeneity", "4"],
+        ["singular", "--homogeneity", "4", "--max-degree", "3"],
+        ["embedding", "lattice", "--weight", "eps1"],
         ["hilbert", "--max-degree", "3", "--t", "-1"],
         ["singular", "--homogeneity", "abc"],
         ["oracle", "--degree", "2"],

@@ -363,6 +363,11 @@ def test_embedding_rejects_unparsed_weight(capsys, action):
     (["singular", "--homogeneity", "3", "--format", "latex"], "no latex form for this command"),
     (["singular", "--scan", "--max-degree", "4", "--format", "latex"], "no latex form for this command"),
     (["embedding", "verify", "--format", "dot"], "no dot form for this command"),
+    (["singular", "--scan", "--max-degree", "0"], "max-degree must be positive"),
+    (["singular", "--homogeneity", "4", "--max-degree", "3"], "--max-degree is only for --scan"),
+    (["singular", "--show-operator", "--max-degree", "3"], "--max-degree is only for --scan"),
+    (["embedding", "lattice", "--weight", "eps1"], "embedding lattice takes no --weight"),
+    (["embedding", "verify", "--weight", "eps1"], "embedding verify takes no --weight"),
 ])
 def test_bad_input_is_a_one_line_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -371,24 +376,47 @@ def test_bad_input_is_a_one_line_error(capsys, argv, message):
     assert capsys.readouterr() == ("", f"{message}\n")
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every entry into the engine that the CLI makes raises."""
+    def work(*args, **kwargs):
+        raise AssertionError("computed before the request was refused")
+
+    for name in ("SolverContext", "solve_odd", "solve_even", "embed_g2", "inclusion_lattice"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr("g2fmethod.embedding.project_weight", work)
+
+
 @pytest.mark.parametrize("argv", [
     ["singular", "--homogeneity", "301", "--format", "latex"],
     ["singular", "--scan", "--max-degree", "4", "--format", "latex"],
     ["embedding", "verify", "--format", "dot"],
     ["embedding", "project", "--weight", "eps1", "--format", "dot"],
 ])
-def test_a_refused_format_is_refused_before_any_work(capsys, monkeypatch, argv):
-    def work(*args, **kwargs):
-        raise AssertionError("computed before the format was refused")
-
-    for name in ("SolverContext", "solve_odd", "solve_even", "embed_g2", "inclusion_lattice"):
-        monkeypatch.setattr(cli, name, work)
-    monkeypatch.setattr("g2fmethod.embedding.project_weight", work)
+def test_a_refused_format_is_refused_before_any_work(capsys, no_work, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
     fmt = argv[-1]
     assert capsys.readouterr() == ("", f"no {fmt} form for this command\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular", "--homogeneity", "4", "--scan", "--max-degree", "2"],
+    ["singular", "--show-operator", "--homogeneity", "4"],
+    ["singular", "--scan", "--show-operator", "--max-degree", "2"],
+    ["singular", "--homogeneity", "4", "--max-degree", "3"],
+    ["singular", "--show-operator", "--max-degree", "3"],
+    ["singular", "--scan", "--max-degree", "0"],
+    ["embedding", "lattice", "--weight", "eps1"],
+    ["embedding", "verify", "--weight", "eps1"],
+])
+def test_a_flag_the_mode_would_ignore_is_refused_before_any_work(capsys, no_work, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
 
 
 def test_bad_input_exits_usage_with_empty_stdout():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from g2fmethod.fourier import (
     verma_from_xi,
     xi_from_verma,
 )
-from g2fmethod.operators import op_apply, op_commutator, parse_operator
+from g2fmethod.operators import DiffOperator, op_apply, op_commutator, parse_operator
 from g2fmethod.polynomials import XiPolynomial, parse_xi_polynomial
 from g2fmethod.scalars import LAMBDA
 from g2fmethod.verma import VermaModule, VermaVector
@@ -26,6 +27,49 @@ NINE_TERM_OPERATOR = (
 @pytest.fixture(scope="module")
 def module(so7):
     return VermaModule(so7)
+
+
+def interpolated_diffop(module, x, max_order):
+    """Reference extractor that never reads a move as an operator term: the
+    coefficients are interpolated from the transported action, monomial by
+    monomial, and checked against it on five degrees beyond.
+
+    Applying the operator to the monomial x^beta isolates beta's
+    coefficients once those of lower multi-indices are known:
+    residual = beta! * sum_alpha c[alpha, beta] x^alpha.
+    """
+    monos = [m for d in range(max_order + 1) for m in module.monomials_of_degree(d)]
+    monos.sort(key=lambda m: (sum(m), m))
+    coeffs = {}
+    for beta in monos:
+        mono = XiPolynomial.monomial(beta)
+        residual = fourier_act(module, x, mono) - op_apply(DiffOperator(coeffs), mono)
+        scale = F(1, math.prod(math.factorial(e) for e in beta))
+        for alpha, c in residual.terms.items():
+            coeffs[(alpha, beta)] = c * scale
+    D = DiffOperator(coeffs)
+    assert D.order() <= max_order
+    for d in range(max_order + 1, max_order + 6):
+        for m in module.monomials_of_degree(d):
+            mono = XiPolynomial.monomial(m)
+            assert op_apply(D, mono) == fourier_act(module, x, mono), (x, m)
+    return D
+
+
+def grading_element(emb):
+    g = {k: 2 * v for k, v in emb.gen("h1").items()}
+    for k, v in emb.gen("h2").items():
+        g[k] = g.get(k, F(0)) + v
+    return g
+
+
+def test_read_off_operator_equals_the_interpolated_one(module, so7, emb):
+    elements = [{l: F(1)} for l in so7.labels]
+    elements += [emb.gen(l) for l in emb.g2.labels]
+    elements.append({k: F(v, 3) for k, v in emb.gen("h2").items()})
+    elements.append(grading_element(emb))
+    for x in elements:
+        assert extract_diffop(module, x, 2) == interpolated_diffop(module, x, 2), x
 
 
 def test_fourier_act_examples(module, emb):
@@ -57,10 +101,7 @@ def test_extract_levi_coweight_operator(module, emb):
 
 
 def test_extract_grading_element_operator(module, emb):
-    g = {k: 2 * v for k, v in emb.gen("h1").items()}
-    for k, v in emb.gen("h2").items():
-        g[k] = g.get(k, F(0)) + v
-    op = extract_diffop(module, g, 1)
+    op = extract_diffop(module, grading_element(emb), 1)
     assert op == parse_operator(
         "-x1*d1 - 3*x2*d2 - 2*x3*d3 - 3*x4*d4 - x5*d5 + (2*L)"
     )

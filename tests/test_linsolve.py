@@ -177,7 +177,7 @@ def test_bareiss_matches_dense_reference_on_solver_systems(ctx):
 def test_certify_minors_counts_every_minor_tried(ctx, monkeypatch):
     # with no roots found, the whole pivot determinant is a residual factor
     # and most maximal minors of the even system are singular
-    budget = 64
+    budget = linsolve.MINOR_BUDGET
     calls = []
     real = linsolve._bareiss_rank
 
