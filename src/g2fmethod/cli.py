@@ -264,16 +264,6 @@ def cmd_hilbert(args) -> int:
         _reject("max-degree must be non-negative")
     if args.t is not None and args.t < 0:
         _reject("t must be non-negative")
-    if L == 0:
-        text = "b(0,0) = 1"
-        payload = {
-            "max_degree": 0,
-            "entries": [{"l": 0, "t": 0, "b": 1}],
-            "series_match": True,
-            "mismatches": [],
-        }
-        _emit(args, lambda: text, payload=lambda: payload)
-        return EXIT_OK
     report = hilbert_series_check(L)
     if args.t is not None:
         wanted = [(l, t, b) for (l, t, b) in report.entries if t == args.t]

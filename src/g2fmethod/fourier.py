@@ -43,12 +43,12 @@ def fourier_act(module: VermaModule, x: Element, p: XiPolynomial) -> XiPolynomia
 
 def extract_diffop(module: VermaModule, x: Element, max_order: int) -> DiffOperator:
     """The normal-ordered operator by which ``x`` acts, read off the module's
-    moves (``VermaModule.operator_terms``).  Normal order is a normal form,
+    moves (``VermaModule.operator``).  Normal order is a normal form,
     so this is the unique operator matching the transported action.
 
     ``max_order`` bounds the order: a higher-order operator raises.
     """
-    D = DiffOperator(module.operator_terms(x))
+    D = module.operator(x)
     if D.order() > max_order:
         raise ValueError(f"order too low: the operator has order {D.order()}, above {max_order}")
     return D

@@ -251,8 +251,8 @@ def hilbert_series_check(L: int) -> HilbertReport:
     x^t, the weight-space count, and the closed form; vanishing above the
     diagonal (l < t) is also verified against the series.
     """
-    if L < 1:
-        raise ValueError("expansion order must be at least 1")
+    if L < 0:
+        raise ValueError("expansion order must be non-negative")
     slices = _series_coefficients(L)
     entries: List[Tuple[int, int, int]] = []
     mismatches: List[Tuple[int, int, str]] = []

@@ -29,24 +29,26 @@ the degree.  Read in the dual coordinates, the moves are the normal-ordered
 terms of the differential operator by which X acts (the F-method operator):
 the move (i, j, delta) with coefficient c is the term
 c x^(delta + e_i + e_j) d_i d_j,  where j = -1 drops e_j and d_j, and
-i = -1 drops e_i and d_i as well (``operator_terms``).
+i = -1 drops e_i and d_i as well (``operator``).
 
-Each call compiles its element once: the labels' moves are merged (moves
-that agree in (i, j, delta) are summed) and each delta becomes the offset
-of a packed code.  A monomial is packed into one ``int`` with its degree in the
-top field and one field per exponent, the field width taken from the
-input's largest exponent, so a move is one addition to the code and one
-multiply-add of coefficients.  Over ``LambdaPoly`` this is the symbolic
-action (``_apply``, which ``singular_search`` also runs on one monomial at
-a time with integer coefficients).  At a rational parameter value the
-coefficients are evaluated there and scaled to integers by one common
-denominator, and the vector is acted on in columns (``_final_slabs``): its
-terms are grouped into slabs of one (x1 exponent, degree), each a column of
-packed codes, one of integer values and five of exponents; the moves of one
-exponent change scale the values by their summed multipliers, and the
-Python ``int`` sums are held for a window of output slabs, each handed on
-(divided once, or only tested for zero by the certificate checks) as soon
-as no later input slab can reach it.
+The move tables have two readers.  With the parameter symbolic, ``act``
+applies that operator (``op_apply``), so the identification of the module
+action with the F-method operator is written once.  At a rational parameter
+value the element is compiled once: the merged moves are evaluated there,
+scaled to integers by one common denominator, and grouped by exponent
+change, each change the offset of a packed code.  A monomial is packed into
+one ``int`` with its degree in the top field and one field per exponent, the
+field width taken from the input's largest exponent, so a move is one
+addition to the code.  A group's multipliers  a,  a m_i  or  a m_i (m - e_i)_j
+are summed over a column of monomials at once (``_multipliers``), from their
+five exponent columns.  ``act`` and ``annihilates`` read them in slabs
+(``_final_slabs``): the vector's terms are grouped into slabs of one
+(x1 exponent, degree), each a column of packed codes, one of integer values
+and five of exponents, and the Python ``int`` sums are held for a window of
+output slabs, each handed on (divided once, or only tested for zero by the
+certificate checks) as soon as no later input slab can reach it.
+``singular_search`` reads them over each weight block of its degree, one
+matrix row per (annihilator, output code).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .liealg import Element, Label, StructureTable, WeightVec, eps_weight
 from .linsolve import kernel_basis
+from .operators import DiffOperator, op_apply
 from .polynomials import (
     Monomial,
     NVARS,
@@ -69,13 +72,13 @@ from .polynomials import (
     term_sort_key,
     unpack_monomial,
 )
-from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, Scalar
+from .scalars import LAMBDA, ONE, ZERO, LambdaPoly
 
 # a move (i, j, delta): derivative positions (-1 for none) and exponent change
 Move = Tuple[int, int, Monomial]
 # compiled moves sharing their exponent change:
-# (code offset, x1 change, degree change, ((i, j, coefficient), ...))
-Group = Tuple[int, int, int, Tuple[Tuple[int, int, Scalar], ...]]
+# (code offset, x1 change, degree change, ((i, j, integer coefficient), ...))
+Group = Tuple[int, int, int, Tuple[Tuple[int, int, int], ...]]
 # the terms of one (x1 exponent, degree) at a parameter value, in columns:
 # (x1 exponent, degree, packed codes, integer values, exponent columns)
 Slab = Tuple[int, int, List[int], List[int], List[Tuple[int, ...]]]
@@ -194,9 +197,9 @@ class VermaModule:
                 merged[move] = merged.get(move, ZERO) + a * c
         return {move: a for move, a in merged.items() if a}
 
-    def operator_terms(self, x: Element) -> Dict[Tuple[Monomial, Monomial], LambdaPoly]:
-        """The action of ``x`` as normal-ordered operator terms
-        ``(xm, dm) -> c``, each the term  c x^xm d^dm.
+    def operator(self, x: Element) -> DiffOperator:
+        """The normal-ordered differential operator by which ``x`` acts: its
+        terms ``(xm, dm) -> c``, each  c x^xm d^dm,  are the merged moves.
 
         Each merged move is one term, since  d_i d_j x^m = m_i (m - e_i)_j
         x^(m - e_i - e_j):  the move (i, j, delta) is  x^(delta + e_i + e_j)
@@ -209,36 +212,22 @@ class VermaModule:
                 if k >= 0:
                     dm[k] += 1
             terms[(tuple(map(add, delta, dm)), tuple(dm))] = c
-        return terms
+        return DiffOperator(terms)
 
-    def _compile(self, x: Element, w: int, lam: Optional[Fraction] = None) -> Tuple[List[Group], int]:
-        """The action of ``x`` on codes of field width ``w``, and a denominator.
+    def _compile(self, x: Element, w: int, lam: Fraction) -> Tuple[List[Group], int]:
+        """The action of ``x`` at ``lam`` on codes of field width ``w``, and a
+        denominator.
 
-        The merged moves are grouped by their exponent change (``_group``),
-        each turned into the offset of the packed code.  Without ``lam`` the coefficients are
-        parameter polynomials and the denominator is 1.  With ``lam`` they
-        are the values at ``lam`` times their least common denominator
-        ``den``, so the action is 1/den times the integer one.
+        The merged moves are evaluated at ``lam`` and scaled by their least
+        common denominator ``den``, so the action is 1/den times the integer
+        one; they are grouped by their exponent change (``_group``), each
+        turned into the offset of the packed code.
         """
-        key = _element_key(x)
-        if lam is None:
-            return _group(self._moves(key), w), 1
-        values = {move: q for move, q in ((move, a(lam)) for move, a in self._moves(key).items()) if q}
+        values = {move: q for move, q in ((move, a(lam)) for move, a in self._moves(_element_key(x)).items()) if q}
         den = math.lcm(*(q.denominator for q in values.values()))
         return _group({move: q.numerator * (den // q.denominator) for move, q in values.items()}, w), den
 
     # -- the action -------------------------------------------------------
-
-    def _act_symbolic(self, x: Element, terms: Dict[Monomial, LambdaPoly]) -> VermaVector:
-        w = _width(terms)
-        groups, _ = self._compile(x, w)
-        out: Dict[int, LambdaPoly] = {}
-        _apply(groups, ((pack_monomial(m, w), c) for m, c in terms.items()), w, out, ZERO)
-        return VermaVector({unpack_monomial(t, w): c for t, c in out.items()})
-
-    def act_basis(self, label: Label, m: Monomial) -> VermaVector:
-        """Action of a basis element on a single ordered monomial."""
-        return self._act_symbolic({label: Fraction(1)}, {tuple(m): ONE})
 
     def _slabs(self, v: VermaVector, lam: Fraction) -> Tuple[List[Slab], int, int]:
         """``v`` at ``lam`` over the integers, in slabs; with the common
@@ -273,6 +262,8 @@ class VermaModule:
     def act(self, x: Element, v: VermaVector, lam: Optional[Fraction] = None) -> VermaVector:
         """Exact module action of a so(7) element.
 
+        Without ``lam`` the parameter stays symbolic, and the action is the
+        read-off operator (``operator``) applied to ``v`` by ``op_apply``.
         With ``lam`` the result is the action at that parameter value, equal to
         ``act(x, v).evaluate_lambda(lam)``.  It is computed over the integers
         by the slab kernel ``_final_slabs``: the values of ``v`` at ``lam``
@@ -281,7 +272,7 @@ class VermaModule:
         by the product of the two denominators once.
         """
         if lam is None:
-            return self._act_symbolic(x, v.terms)
+            return VermaVector._of_terms(op_apply(self.operator(x), v).terms)
         slabs, dv, w = self._slabs(v, lam)
         groups, den = self._compile(x, w, lam)
         den *= dv
@@ -368,8 +359,12 @@ class VermaModule:
         common denominator.  Each row of the matrix is one (annihilator,
         output monomial) pair, so dividing it by ``den`` would scale the
         whole row, which leaves the kernel unchanged; the integer rows go to
-        ``kernel_basis`` undivided, and its canonical basis does not depend
-        on the order of the rows either.
+        ``kernel_basis`` undivided.  A block's codes and exponent columns are
+        taken once, and each group of an annihilator fills its rows from one
+        multiplier column over the whole block (``_multipliers``).  The
+        canonical kernel does not depend on the order of the rows, but the
+        cost of the elimination does: the rows of an annihilator go in
+        descending order of their output code.
         """
         if degree < 0:
             raise ValueError("degree must be non-negative")
@@ -384,20 +379,24 @@ class VermaModule:
         vectors: List[VermaVector] = []
         for key in sorted(blocks):
             block = blocks[key]
-            # one row per (annihilator, output monomial)
-            rows: List[Dict[int, List[int]]] = [{} for _ in actions]
-            for col, m in enumerate(block):
-                code = pack_monomial(m, w)
-                for groups, out in zip(actions, rows):
-                    image: Dict[int, int] = {}
-                    _apply(groups, ((code, 1),), w, image, 0)
-                    for t, val in image.items():
-                        if val:
-                            row = out.get(t)
-                            if row is None:
-                                row = out[t] = [0] * len(block)
-                            row[col] += val
-            matrix = [row for out in rows for row in out.values()]
+            n = len(block)
+            codes = [pack_monomial(m, w) for m in block]
+            columns = list(zip(*block))
+            matrix: List[List[int]] = []
+            for groups in actions:
+                # one row per output code; one input code meets each output
+                # code in at most one group
+                rows: Dict[int, List[int]] = {}
+                for off, _, _, moves in groups:
+                    factors = _multipliers(moves, columns, n)
+                    for col, t, k in zip(compress(range(n), factors), compress(codes, factors),
+                                         filter(None, factors)):
+                        t += off
+                        row = rows.get(t)
+                        if row is None:
+                            row = rows[t] = [0] * n
+                        row[col] = k
+                matrix += [rows[t] for t in sorted(rows, reverse=True)]
             if not matrix:
                 kernel = [
                     [Fraction(1) if i == j else Fraction(0) for j in range(len(block))]
@@ -459,14 +458,30 @@ def _width(monomials) -> int:
     return (top + 1).bit_length()
 
 
-def _group(coeffs: Dict[Move, Scalar], w: int) -> List[Group]:
+def _group(coeffs: Dict[Move, int], w: int) -> List[Group]:
     """Moves grouped by their exponent change: they land on the same codes.
     Each change is packed to a code offset and kept with its x1 and degree
     parts, which place an output slab."""
-    groups: Dict[Monomial, List[Tuple[int, int, Scalar]]] = {}
+    groups: Dict[Monomial, List[Tuple[int, int, int]]] = {}
     for (i, j, delta), a in coeffs.items():
         groups.setdefault(delta, []).append((i, j, a))
     return [(pack_monomial(delta, w), delta[0], sum(delta), tuple(moves)) for delta, moves in groups.items()]
+
+
+def _multipliers(moves: Tuple[Tuple[int, int, int], ...], columns: Sequence[Sequence[int]], n: int) -> List[int]:
+    """A group's summed multiplier on each of ``n`` monomials, from their
+    exponent columns: a move (i, j, a) contributes a (i = j = -1), a m_i
+    (j = -1), or a m_i (m - e_i)_j, the second derivative d_i d_j."""
+    factors = None
+    for i, j, a in moves:
+        if i < 0:
+            column = repeat(a, n)
+        else:
+            column = map(mul, columns[i], repeat(a))
+            if j >= 0:
+                column = map(mul, column, map(sub, columns[j], repeat(1)) if i == j else columns[j])
+        factors = column if factors is None else map(add, factors, column)
+    return list(factors)
 
 
 def _final_slabs(slabs: List[Slab], groups: List[Group]) -> Iterator[Dict[int, int]]:
@@ -475,10 +490,10 @@ def _final_slabs(slabs: List[Slab], groups: List[Group]) -> Iterator[Dict[int, i
 
     The input slabs ascend in x1 exponent, and ``lowest`` is the least x1
     change of a group, so when an input slab of x1 exponent p comes, every
-    output slab below p + lowest is final.  A group's multipliers  a,  a m_i  or
-    a m_i (m - e_i)_j  are summed in small-integer columns first; the terms
-    whose sum is zero are left out, and each other term is one product and
-    one addition.
+    output slab below p + lowest is final.  A group's multipliers are summed
+    in a small-integer column first (``_multipliers``); the terms whose sum
+    is zero are left out, and each other term is one product and one
+    addition.
     """
     lowest = min((dx1 for _, dx1, _, _ in groups), default=0)
     window: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -486,16 +501,7 @@ def _final_slabs(slabs: List[Slab], groups: List[Group]) -> Iterator[Dict[int, i
         for key in [k for k in window if k[0] < x1 + lowest]:
             yield window.pop(key)
         for off, dx1, dd, moves in groups:
-            factors = None
-            for i, j, a in moves:
-                if i < 0:
-                    column = repeat(a, len(codes))
-                else:
-                    column = map(mul, columns[i], repeat(a))
-                    if j >= 0:
-                        column = map(mul, column, map(sub, columns[j], repeat(1)) if i == j else columns[j])
-                factors = column if factors is None else map(add, factors, column)
-            factors = list(factors)
+            factors = _multipliers(moves, columns, len(codes))
             out = window.setdefault((x1 + dx1, d + dd), {})
             get = out.get
             for t, k in zip(compress(codes, factors), map(mul, compress(values, factors), filter(None, factors))):
@@ -503,29 +509,3 @@ def _final_slabs(slabs: List[Slab], groups: List[Group]) -> Iterator[Dict[int, i
                 out[t] = get(t, 0) + k
     yield from window.values()
 
-
-def _apply(groups: List[Group], terms, w: int, out: Dict[int, Scalar], zero: Scalar) -> None:
-    """Add the compiled action on the packed (code, coefficient) ``terms``
-    into ``out``, one term at a time: one multiply-add per group and term.
-
-    A move (i, j, a) of a group contributes a (i = j = -1), a m_i (j = -1),
-    or a m_i (m - e_i)_j, the second derivative d_i d_j.  The coefficients,
-    the terms' and ``zero`` share one ring: ``LambdaPoly`` or ``int``.
-    """
-    mask = (1 << w) - 1
-    shifts = [k * w for k in range(NVARS - 1, -1, -1)]
-    get = out.get
-    for code, c in terms:
-        e = [(code >> s) & mask for s in shifts]
-        for off, _, _, moves in groups:
-            k = None
-            for i, j, a in moves:
-                if i >= 0:
-                    mult = e[i] if j < 0 else e[i] * (e[j] - (i == j))
-                    if not mult:
-                        continue
-                    a = a * mult
-                k = a if k is None else k + a
-            if k:
-                t = code + off
-                out[t] = get(t, zero) + c * k

@@ -42,6 +42,7 @@ def _cases() -> List[List[str]]:
     cases += _formats(["hilbert", "--max-degree", "6"], ("text", "json"))
     cases += _formats(["hilbert", "--max-degree", "6", "--t", "0"], ("text", "json"))
     cases += _formats(["hilbert", "--max-degree", "0"], ("text", "json"))
+    cases += [["hilbert", "--max-degree", "0", "--t", "3"]]
     for N in range(1, 13):
         cases += _formats(["singular", "--homogeneity", str(2 * N)], ("text", "json", "latex"))
     for d in ("1", "3", "5", "7"):
@@ -54,6 +55,8 @@ def _cases() -> List[List[str]]:
         ["oracle", "--degree", "2", "--lambda=0"],
         ["oracle", "--degree", "4", "--lambda=-1/2", "--annihilators", "borel"],
         ["oracle", "--degree", "6", "--lambda=1/2", "--format", "json"],
+        ["oracle", "--degree", "10", "--lambda=5/2", "--format", "json"],
+        ["oracle", "--degree", "10", "--lambda=5/2", "--annihilators", "borel"],
     ]
     cases += _formats(["verify"], ("text", "json"))
     # one-line errors, usage errors and requests over a cap (exit 64)

@@ -124,6 +124,10 @@ def test_hilbert_degree_zero(capsys):
     validate(payload, "hilbert")
     assert payload["max_degree"] == 0
     assert payload["entries"] == [{"l": 0, "t": 0, "b": 1}]
+    # --t filters the degree-0 rows as it does any other degree's
+    code, out = run(capsys, ["hilbert", "--max-degree", "0", "--t", "3"])
+    assert code == 0
+    assert out.strip() == "series vs closed form: MATCH"
 
 
 def test_hilbert_json(capsys):
