@@ -29,6 +29,7 @@ def _cases() -> List[List[str]]:
     cases: List[List[str]] = []
     for n in ("2", "3"):
         cases += _formats(["algebra", "--n", n], ("text", "json"))
+    cases += [["algebra", "--n", "4"], ["algebra", "--n", "8"]]
     cases += _formats(["embedding", "verify"], ("text", "json"))
     cases += _formats(["embedding", "lattice"], ("text", "json", "dot"))
     for weight in ("eps1", "omega2", "omega3", "eps1 + 2*eps2", "eps1 - 3*eps2", "1/2*eta1 - eta3"):
