@@ -19,7 +19,10 @@ bracket data is computed from these matrices, never assumed.
 The matrices are stored dense, but every product is formed from their
 nonzero entries only: a root matrix has two, a Cartan matrix at most 2n+1.
 Each commutator [A, B] = AB - BA is expressed in the basis through one
-elimination over the sparse basis matrices, done once per table.
+elimination over the sparse basis matrices, done once per table.  A table
+is then checked for antisymmetry, for ad-diagonal Cartan action and for the
+Jacobi identity, the last as ad_[x,y] = ad_x ad_y - ad_y ad_x over integer
+multiples of the constants.
 
 Positive roots are labeled 1..n^2 in graded lexicographic order on their
 simple-basis coordinates (lower total degree first, then lexicographically
@@ -33,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -284,25 +288,48 @@ class StructureTable:
     # -- verification -------------------------------------------------------
 
     def jacobi_check(self) -> bool:
-        """Exhaustive Jacobi identity over all basis triples."""
-        basis = [{l: Fraction(1)} for l in self.labels]
-        table = {l: e for l, e in zip(self.labels, basis)}
+        """Jacobi identity on every basis triple, checked as "ad is a homomorphism".
+
+        For labels x, y, z the identity reads
+
+            [x,[y,z]] - [[x,y],z] - [y,[x,z]] = 0,
+
+        that is (ad_x ad_y - ad_y ad_x - sum_w c_xy^w ad_w)(z) = 0, where
+        ad_a(b) = [a, b] is read from the table with a on the left and
+        c_xy^w are the constants of [x, y].  No antisymmetry is assumed, so
+        the predicate is the triple test itself, for all ordered triples.
+        For each ordered pair (x, y) one sparse pass forms that operator on
+        every z at once and fails on its first nonzero entry.
+
+        The constants are scaled to integers first: ``scale`` is the lcm of
+        their denominators and ad[a][b][w] = c_ab^w * scale, exactly.  Every
+        term is a product of two constants, so each accumulated entry is the
+        triple test's entry times scale**2: zero exactly when it is.
+        Constants whose labels are not both in ``labels`` take no part.
+        """
+        labels = set(self.labels)
+        scale = math.lcm(*(c.denominator for e in self.brackets.values() for c in e.values()))
+        ad: Dict[Label, Dict[Label, Dict[Label, int]]] = {l: {} for l in self.labels}
+        for (a, b), e in self.brackets.items():
+            col = {w: c.numerator * (scale // c.denominator) for w, c in e.items() if c != 0}
+            if a in labels and b in labels and col:
+                ad[a][b] = col
         for x in self.labels:
+            ad_x = ad[x]
             for y in self.labels:
-                xy = self.brackets.get((x, y), {})
-                for z in self.labels:
-                    yz = self.brackets.get((y, z), {})
-                    xz = self.brackets.get((x, z), {})
-                    lhs = self.bracket(table[x], yz)
-                    rhs1 = self.bracket(xy, table[z])
-                    rhs2 = self.bracket(table[y], xz)
-                    total = dict(lhs)
-                    for l, c in rhs1.items():
-                        total[l] = total.get(l, Fraction(0)) - c
-                    for l, c in rhs2.items():
-                        total[l] = total.get(l, Fraction(0)) - c
-                    if any(v != 0 for v in total.values()):
-                        return False
+                ad_y = ad[y]
+                acc: Dict[Tuple[Label, Label], int] = {}
+                for outer, inner, sign in ((ad_x, ad_y, 1), (ad_y, ad_x, -1)):
+                    for z, col in inner.items():
+                        for u, c in col.items():
+                            for v, d in outer.get(u, {}).items():
+                                acc[z, v] = acc.get((z, v), 0) + sign * c * d
+                for w, c in ad_x.get(y, {}).items():
+                    for z, col in ad.get(w, {}).items():
+                        for v, d in col.items():
+                            acc[z, v] = acc.get((z, v), 0) - c * d
+                if any(acc.values()):
+                    return False
         return True
 
     def antisymmetry_check(self) -> bool:

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib.resources
 import json
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -55,6 +57,31 @@ def test_embedding_verify_json(capsys):
     validate(payload, "embedding")
     assert payload["image_dimension"] == 14
     assert payload["lattice_matches"] is True
+
+
+def _with_constant(table, a, b, w, value):
+    """``table`` with c_ab^w = value and c_ba^w = -value: still antisymmetric,
+    still ad-diagonal in the Cartan, no longer a Lie algebra."""
+    brackets = {k: dict(v) for k, v in table.brackets.items()}
+    brackets[a, b][w], brackets[b, a][w] = value, -value
+    return dataclasses.replace(table, brackets=brackets)
+
+
+def test_algebra_with_a_broken_constant_fails_jacobi(capsys, monkeypatch, so7):
+    broken = _with_constant(so7, 1, -1, "h1", Fraction(2))
+    assert broken.antisymmetry_check() and broken.eigenvector_check()
+    monkeypatch.setattr(cli, "build_so_odd", lambda n: broken)
+    code, out = run(capsys, ["algebra", "--n", "3"])
+    assert code == cli.EXIT_CHECK_FAILED
+    assert "dim 21, positive roots 9, Jacobi FAILED" in out
+
+
+def test_embedding_verify_with_a_broken_image_fails_jacobi(capsys, monkeypatch, emb):
+    broken = dataclasses.replace(emb, g2=_with_constant(emb.g2, 1, -1, "h1", Fraction(2)))
+    monkeypatch.setattr(cli, "embed_g2", lambda: broken)
+    code, out = run(capsys, ["embedding", "verify"])
+    assert code == cli.EXIT_CHECK_FAILED
+    assert "image dim 14, homomorphism OK, Jacobi FAILED, lattice matches (20 arrows)" in out
 
 
 def test_embedding_lattice_dot(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -138,6 +139,66 @@ def test_jacobi_sampled(so7):
         for l, c in rhs2.items():
             total[l] = total.get(l, F(0)) - c
         assert all(v == 0 for v in total.values())
+
+
+def _jacobi_reference(table):
+    """The triple test [x,[y,z]] - [[x,y],z] - [y,[x,z]] = 0 over all ordered
+    basis triples, three Fraction brackets per triple: the predicate
+    ``jacobi_check`` must keep."""
+    basis = {l: {l: F(1)} for l in table.labels}
+    for x in table.labels:
+        for y in table.labels:
+            xy = table.brackets.get((x, y), {})
+            for z in table.labels:
+                total = dict(table.bracket(basis[x], table.brackets.get((y, z), {})))
+                for rhs in (table.bracket(xy, basis[z]),
+                            table.bracket(basis[y], table.brackets.get((x, z), {}))):
+                    for l, c in rhs.items():
+                        total[l] = total.get(l, F(0)) - c
+                if any(v != 0 for v in total.values()):
+                    return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def jacobi_tables(so7, emb):
+    return {"so5": build_so_odd(2), "so7": so7, "g2": emb.g2}
+
+
+@pytest.mark.parametrize("name", ["so5", "so7", "g2"])
+def test_jacobi_check_equals_the_triple_test(jacobi_tables, name):
+    table = jacobi_tables[name]
+    assert table.jacobi_check() is _jacobi_reference(table) is True
+
+
+def _mutant(table, rng, kind, mirrored):
+    """``table`` with one bracket constant changed: in a bracket of two roots,
+    in a bracket with a Cartan element, or at an entry the table lacks; with
+    ``mirrored`` the antisymmetric partner changes with it."""
+    roots = [l for l in table.labels if isinstance(l, int)]
+    brackets = {k: dict(v) for k, v in table.brackets.items()}
+    if kind == "absent":
+        a, b = rng.sample(table.labels, 2)
+        w = rng.choice([l for l in table.labels if l not in brackets.get((a, b), {})])
+    else:
+        firsts = table.cartan_labels if kind == "cartan" else roots
+        a, b = rng.choice([(a, b) for a in firsts for b in roots if a != b and brackets.get((a, b))])
+        w = rng.choice(sorted(brackets[a, b], key=str))
+    delta = rng.choice([F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(2, 3)])
+    value = brackets.setdefault((a, b), {}).get(w, F(0)) + delta
+    brackets[a, b][w] = value
+    if mirrored:
+        brackets.setdefault((b, a), {})[w] = -value
+    return dataclasses.replace(table, brackets=brackets)
+
+
+@pytest.mark.parametrize("seed", range(72))
+def test_jacobi_check_equals_the_triple_test_on_a_broken_constant(jacobi_tables, seed):
+    rng = random.Random(seed)
+    name = ("so5", "so7", "g2")[seed % 3]
+    kind = ("root", "cartan", "absent")[seed // 3 % 3]
+    mutant = _mutant(jacobi_tables[name], rng, kind, mirrored=seed % 2 == 0)
+    assert mutant.jacobi_check() is _jacobi_reference(mutant) is False
 
 
 # bracket-table checksums of the seed construction; any change to a structure
