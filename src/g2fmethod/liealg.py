@@ -305,7 +305,7 @@ class StructureTable:
         their denominators and ad[a][b][w] = c_ab^w * scale, exactly.  Every
         term is a product of two constants, so each accumulated entry is the
         triple test's entry times scale**2: zero exactly when it is.
-        Constants whose labels are not both in ``labels`` take no part.
+        Entries keyed by a pair not both in ``labels`` take no part.
         """
         labels = set(self.labels)
         scale = math.lcm(*(c.denominator for e in self.brackets.values() for c in e.values()))
