@@ -58,6 +58,7 @@ def _cases() -> List[List[str]]:
         ["oracle", "--degree", "6", "--lambda=1/2", "--format", "json"],
         ["oracle", "--degree", "10", "--lambda=5/2", "--format", "json"],
         ["oracle", "--degree", "10", "--lambda=5/2", "--annihilators", "borel"],
+        ["oracle", "--degree", "40", "--lambda=35/2"],
     ]
     cases += _formats(["verify"], ("text", "json"))
     # one-line errors, usage errors and requests over a cap (exit 64)
