@@ -156,10 +156,12 @@ def cmd_algebra(args) -> int:
         table = build_so_odd(args.n)
     except ValueError as exc:
         _reject(str(exc))
-    checks_ok = table.antisymmetry_check() and table.eigenvector_check() and table.jacobi_check()
+    checks = (("antisymmetry", table.antisymmetry_check), ("eigenvector", table.eigenvector_check),
+              ("Jacobi", table.jacobi_check))
+    failed = next((name for name, check in checks if not check()), None)
     lines = [
         f"dim {table.dimension}, positive roots {len(table.positive_root_labels)}, "
-        f"Jacobi {'OK' if checks_ok else 'FAILED'}",
+        f"{'Jacobi OK' if failed is None else failed + ' FAILED'}",
         f"bracket-table checksum: {table.checksum()}",
     ]
     if args.n == 3:
@@ -169,7 +171,7 @@ def cmd_algebra(args) -> int:
             f"highest root {datum.highest()}"
         )
     _emit(args, lambda: "\n".join(lines), payload=table.to_json)
-    return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if failed is None else EXIT_CHECK_FAILED
 
 
 def cmd_embedding(args) -> int:
@@ -231,7 +233,9 @@ def cmd_embedding(args) -> int:
     payload = {
         "image_dimension": emb.g2.dimension,
         "homomorphism_ok": True,
+        "jacobi_ok": jac,
         "lattice_matches": lattice_ok,
+        "intersections_match": intersect_ok,
         "cartan_images": {"h'1": h1, "h'2": h2},
     }
     _emit(args, lambda: text, payload=lambda: payload)

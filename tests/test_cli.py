@@ -57,6 +57,8 @@ def test_embedding_verify_json(capsys):
     validate(payload, "embedding")
     assert payload["image_dimension"] == 14
     assert payload["lattice_matches"] is True
+    assert payload["jacobi_ok"] is True
+    assert payload["intersections_match"] is True
 
 
 def _with_constant(table, a, b, w, value):
@@ -76,12 +78,33 @@ def test_algebra_with_a_broken_constant_fails_jacobi(capsys, monkeypatch, so7):
     assert "dim 21, positive roots 9, Jacobi FAILED" in out
 
 
+def test_algebra_names_the_eigenvector_check_when_only_it_fails(capsys, monkeypatch, so7):
+    broken = dataclasses.replace(so7, roots={**so7.roots, 1: so7.roots[2]})
+    assert broken.antisymmetry_check() and broken.jacobi_check()
+    assert not broken.eigenvector_check()
+    monkeypatch.setattr(cli, "build_so_odd", lambda n: broken)
+    code, out = run(capsys, ["algebra", "--n", "3"])
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out.splitlines()[0] == "dim 21, positive roots 9, eigenvector FAILED"
+
+
 def test_embedding_verify_with_a_broken_image_fails_jacobi(capsys, monkeypatch, emb):
     broken = dataclasses.replace(emb, g2=_with_constant(emb.g2, 1, -1, "h1", Fraction(2)))
     monkeypatch.setattr(cli, "embed_g2", lambda: broken)
     code, out = run(capsys, ["embedding", "verify"])
     assert code == cli.EXIT_CHECK_FAILED
     assert "image dim 14, homomorphism OK, Jacobi FAILED, lattice matches (20 arrows)" in out
+
+
+def test_embedding_verify_json_names_the_failed_check(capsys, monkeypatch, emb):
+    broken = dataclasses.replace(emb, g2=_with_constant(emb.g2, 1, -1, "h1", Fraction(2)))
+    monkeypatch.setattr(cli, "embed_g2", lambda: broken)
+    code, out = run(capsys, ["embedding", "verify", "--format", "json"])
+    assert code == cli.EXIT_CHECK_FAILED
+    payload = json.loads(out)
+    validate(payload, "embedding")
+    assert payload["jacobi_ok"] is False
+    assert payload["lattice_matches"] is True
 
 
 def test_embedding_lattice_dot(capsys):

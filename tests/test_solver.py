@@ -5,9 +5,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from g2fmethod.liealg import alpha_weight, eps_weight
-from g2fmethod.linsolve import param_solve
+from g2fmethod.linsolve import evaluate_matrix, kernel_basis, param_solve
 from g2fmethod.operators import DiffOperator, op_apply
 from g2fmethod.polynomials import parse_xi_polynomial, term_sort_key
 from g2fmethod.scalars import LAMBDA, LambdaPoly
@@ -208,6 +209,23 @@ def test_oracle_off_parameter_empty(ctx):
     for lam in (F(0), F(1), F(-2), F(1, 3)):
         for d in (1, 2, 3, 4):
             assert ctx.module.singular_search(d, lam, anns) == []
+
+
+@seed(20250)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(st.just(d), st.one_of(
+    st.just(F(d - 5, 2)), st.integers(-9, 20).map(lambda k: F(k, 2)), st.fractions(-6, 6, max_denominator=9)))))
+def test_the_two_routes_agree_on_the_kernel_dimension_at_every_parameter_value(ctx, case):
+    """For d <= 8 and lambda among the half-integers and small fractions,
+    the chain-rule system at lambda and the PBW search with the p' set have
+    kernels of one dimension.  A third of the draws take the special value
+    (d - 5)/2 itself, where even degrees have a kernel.  Seed 20250, 200
+    examples."""
+    d, lam = case
+    matrix, _ = _collect_system(ctx, d)
+    system = len(kernel_basis(evaluate_matrix(matrix, lam)))
+    oracle = len(ctx.module.singular_search(d, lam, pprime_annihilators(ctx.emb)))
+    assert system == oracle, f"d={d}, lambda={lam}: chain-rule kernel {system}, PBW kernel {oracle}"
 
 
 def test_certificate_weight(ctx):

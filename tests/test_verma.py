@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from g2fmethod import verma
+from g2fmethod.linsolve import kernel_basis, rref
 from g2fmethod.polynomials import NVARS
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 from g2fmethod.solver import borel_annihilators, pprime_annihilators, pprime_full_annihilators, solve_even
@@ -262,6 +264,99 @@ def test_integer_search_matches_the_fraction_route(module, emb, annihilators, de
         want = fraction_route_search(module, degree, lam, anns)
         assert [list(v.terms.items()) for v in got] == [list(v.terms.items()) for v in want]
         assert got == want
+
+
+def unpruned_search(module, degree, lams, annihilators):
+    """The search with no block skipped, at each of ``lams``: each block's
+    rows from the symbolic action on its monomials, one by one, evaluated
+    at the parameter value, and ``kernel_basis`` run on every block.
+    Yields (block, rows, kernel) per block in the search's order."""
+    blocks = {}
+    for m in module.monomials_of_degree(degree):
+        blocks.setdefault((m[0] - m[3], m[4] - m[1]), []).append(m)
+    images = {(ai, m): module.act(ann, VermaVector.monomial(m)).terms
+              for ai, ann in enumerate(annihilators) for block in blocks.values() for m in block}
+    return [list(_unpruned_blocks(blocks, images, len(annihilators), lam)) for lam in lams]
+
+
+def _unpruned_blocks(blocks, images, count, lam0):
+    for key in sorted(blocks):
+        block = blocks[key]
+        rows = {}
+        for col, m in enumerate(block):
+            for ai in range(count):
+                for t, c in images[ai, m].items():
+                    c = c(lam0)
+                    if c:
+                        rows.setdefault((ai, t), [F(0)] * len(block))[col] += c
+        matrix = [rows[k] for k in sorted(rows)]
+        if matrix:
+            kernel = kernel_basis(matrix)
+        else:
+            kernel = [[F(int(i == j)) for j in range(len(block))] for i in range(len(block))]
+        yield block, matrix, [VermaVector({m: LambdaPoly.const(c) for m, c in zip(block, vec) if c})
+                              for vec in kernel]
+
+
+def _pruning_cases(emb):
+    return {
+        "pprime": pprime_annihilators(emb),
+        "pprime_full": pprime_full_annihilators(emb),
+        "borel": borel_annihilators(emb),
+        # a Cartan element in the list itself, beside a raising generator
+        "cartan": [{"h2": F(1)}, {1: F(1)}],
+    }
+
+
+@pytest.mark.parametrize("annihilators", ["pprime", "pprime_full", "borel", "cartan"])
+@pytest.mark.parametrize("degree", range(9))
+def test_pruned_search_matches_the_unpruned_one(module, emb, monkeypatch, annihilators, degree):
+    """Equal kernels, and every block the search skips has an empty kernel.
+
+    The skipped blocks are read off the search's own ``kernel_basis`` calls:
+    they come in block order, and a solved block's rows span what the
+    reference rows of that block span."""
+    anns = _pruning_cases(emb)[annihilators]
+    solved = []
+
+    def recording_kernel_basis(matrix):
+        solved.append(rref(matrix))
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(verma, "kernel_basis", recording_kernel_basis)
+    skips = 0
+    lams = (F(degree - 5, 2), F(degree - 4, 2), F(0), F(1, 3), F(-7, 4))
+    for lam, want in zip(lams, unpruned_search(module, degree, lams, anns)):
+        solved.clear()
+        got = module.singular_search(degree, lam, anns)
+        assert got == [v for _, _, kernel in want for v in kernel], (degree, lam)
+        pending = iter(solved)
+        nxt = next(pending, None)
+        for block, matrix, kernel in want:
+            if not matrix:
+                continue
+            if nxt is not None and rref(matrix) == nxt:
+                nxt = next(pending, None)
+                continue
+            assert kernel == [], (degree, lam, block[0])
+            skips += 1
+        assert nxt is None, (degree, lam)
+    if degree >= 2 and annihilators != "borel":
+        assert skips > 0
+    if annihilators == "borel":
+        assert skips == 0
+
+
+def test_a_cartan_element_is_injective_only_where_no_multiplier_vanishes(module):
+    """The skip test asks for a nonzero multiplier on every monomial, not on
+    some: h2 acts by zero on y3 v and not on y1 v at any parameter value."""
+    w = 2
+    groups, _ = module._compile({"h2": F(1)}, w, F(1, 3))
+    assert len(groups) == 1 and groups[0][0] == 0
+    moves = groups[0][3]
+    for monos, injective in (([(1, 0, 0, 0, 0)], True), ([(0, 0, 1, 0, 0)], False),
+                             ([(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)], False)):
+        assert verma._injective(moves, list(zip(*monos)), len(monos)) is injective
 
 
 def test_verma_grammar_roundtrip(module):
