@@ -270,7 +270,8 @@ def unpruned_search(module, degree, lams, annihilators):
     """The search with no block skipped, at each of ``lams``: each block's
     rows from the symbolic action on its monomials, one by one, evaluated
     at the parameter value, and ``kernel_basis`` run on every block.
-    Yields (block, rows, kernel) per block in the search's order."""
+    Returns one list per value of (block, rows, kernel), in the search's
+    block order."""
     blocks = {}
     for m in module.monomials_of_degree(degree):
         blocks.setdefault((m[0] - m[3], m[4] - m[1]), []).append(m)
