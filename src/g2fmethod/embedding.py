@@ -83,7 +83,7 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
     basis_elems: List[Element] = []
 
     def add(elem: Element) -> bool:
-        if span.add(_so7_coordinates(so7, elem)):
+        if span.add(so7.coordinates(elem)):
             basis_elems.append(elem)
             return True
         return False
@@ -150,12 +150,6 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
     emb = Embedding(so7=so7, g2=g2, generator_images=images)
     _verify_homomorphism(emb)
     return emb
-
-
-def _so7_coordinates(so7: StructureTable, x: Element) -> Dict[int, Fraction]:
-    """An so(7) element keyed by the positions of its labels in the basis,
-    which compare where the labels (integers and 'h1'...) do not."""
-    return {so7.labels.index(l): c for l, c in x.items()}
 
 
 def _eigen_ratio(m: SparseMatrix, base: SparseMatrix) -> Fraction:
@@ -276,7 +270,7 @@ def _member_vectors(emb: Embedding, p: ParabolicSelection) -> List[Dict[int, Fra
     parabolic's.  The so(7) basis matrices are independent, so containment
     in these coordinates is containment of the matrix spans."""
     images = emb.generator_images if p.algebra == "g2" else {l: {l: Fraction(1)} for l in p.member_labels()}
-    return [_so7_coordinates(emb.so7, images[l]) for l in p.member_labels()]
+    return [emb.so7.coordinates(images[l]) for l in p.member_labels()]
 
 
 def _span(vectors: List[Dict[int, Fraction]]) -> SparseSpan:
@@ -297,7 +291,7 @@ def intersect_parabolic(emb: Embedding, p: ParabolicSelection) -> ParabolicSelec
         raise ValueError("expected a so(7) parabolic")
     pspan = _span(_member_vectors(emb, p))
     member_set = {
-        l for l in emb.g2.labels if pspan.contains(_so7_coordinates(emb.so7, emb.generator_images[l]))
+        l for l in emb.g2.labels if pspan.contains(emb.so7.coordinates(emb.generator_images[l]))
     }
     if not all(h in member_set for h in emb.g2.cartan_labels):
         raise ValueError("intersection lost the Cartan subalgebra")

@@ -252,6 +252,29 @@ class StructureTable:
                     out[lc] = out.get(lc, Fraction(0)) + ca * cb * cc
         return {k: v for k, v in out.items() if v != 0}
 
+    def coordinates(self, x: Element) -> Dict[int, Fraction]:
+        """An element keyed by the positions of its labels in the basis,
+        which compare where the labels (integers and 'h1'...) do not."""
+        return {self.labels.index(l): c for l, c in x.items()}
+
+    def generated_span(self, elements: Sequence[Element]) -> SparseSpan:
+        """The subalgebra that ``elements`` generate, spanned in basis
+        coordinates (``coordinates``).
+
+        Each element that enlarges the span is bracketed once with every
+        element kept so far, itself included; when a round adds nothing,
+        every pair of kept elements has been bracketed into the span, so the
+        span is closed under the bracket.
+        """
+        span = SparseSpan()
+        kept: List[Element] = []
+        new = [x for x in elements if span.add(self.coordinates(x))]
+        while new:
+            kept += new
+            new = [z for x in new for y in kept
+                   if (z := self.bracket(x, y)) and span.add(self.coordinates(z))]
+        return span
+
     @functools.cached_property
     def entries(self) -> Dict[Label, SparseMatrix]:
         """The nonzero entries of each basis matrix."""

@@ -29,6 +29,8 @@ from typing import Dict, List, Optional, Tuple
 from .embedding import Embedding
 from .fourier import extract_diffop, sl2_triple_ops, verma_from_xi
 from .liealg import (
+    Element,
+    StructureTable,
     WeightVec,
     _positive_roots_so_odd,
     alpha_weight,
@@ -73,6 +75,14 @@ class SolverContext:
     @cached_property
     def sl2_ops(self) -> Tuple[DiffOperator, DiffOperator, DiffOperator]:
         return sl2_triple_ops(self.module, self.emb)
+
+    @cached_property
+    def pprime_generators(self) -> List[Element]:
+        """The smaller p' set, once proved to generate the full one
+        (``prove_generates``)."""
+        gens = pprime_annihilators(self.emb)
+        prove_generates(self.emb.so7, gens, pprime_full_annihilators(self.emb))
+        return gens
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +478,10 @@ def pprime_annihilators(emb: Embedding):
 
 
 def pprime_full_annihilators(emb: Embedding):
-    """Belt-and-braces set: the Levi generators and the whole nilradical."""
+    """Belt-and-braces set: the Levi generators and the whole nilradical.
+    Certificate checks act with ``pprime_annihilators`` only, once
+    ``prove_generates`` has shown that they generate every element of this
+    set."""
     return [emb.gen(2), emb.gen(-2)] + [emb.gen(l) for l in (1, 3, 4, 5, 6)]
 
 
@@ -476,6 +489,15 @@ def borel_annihilators(emb: Embedding):
     """The three simple raising generators of so(7)."""
     one = Fraction(1)
     return [{1: one}, {2: one}, {3: one}]
+
+
+def prove_generates(table: StructureTable, generators: List[Element], targets: List[Element]) -> None:
+    """Raise unless every element of ``targets`` lies in the subalgebra that
+    ``generators`` generate (``StructureTable.generated_span``)."""
+    span = table.generated_span(generators)
+    for x in targets:
+        if not span.contains(table.coordinates(x)):
+            raise ValueError(f"the generators do not generate {x}")
 
 
 def verify_so7_singular(ctx: SolverContext, cert: SingularCertificate) -> bool:
@@ -487,21 +509,25 @@ def verify_so7_singular(ctx: SolverContext, cert: SingularCertificate) -> bool:
 def run_certificate_checks(ctx: SolverContext, cert: SingularCertificate) -> None:
     """Populate the certificate's verification record in place.
 
-    The p' sets and the Borel set name 13 elements but only 9 distinct ones
-    (the smaller p' set lies inside the full one, and one simple raising
-    generator is among them); ``VermaModule.annihilates`` acts with each
-    distinct element once, at the certificate's parameter value, and tests
-    its integer sums for zero.  ``p_prime_singular`` still means that every
-    element of both p' sets annihilates, and ``so7_singular`` that all
-    three simple raising generators do.
+    ``p_prime_singular`` means that every element of both p' sets
+    annihilates, and ``so7_singular`` that all three simple raising
+    generators do.  Each flag is decided by acting with generators only:
+    the action at the certificate's parameter value is a representation,
+    [X, Y] v = X Y v - Y X v, so the elements that kill a vector form a Lie
+    subalgebra, and a vector killed by some elements is killed by all they
+    generate.  Two preconditions make this exact.  The three elements of
+    the smaller p' set generate every element of the full one: the context
+    proves it once (``SolverContext.pprime_generators``), and raises if the
+    proof fails.  The Borel set is the whole set the flag names.  The p'
+    generators and the Borel set are five distinct elements (one simple
+    raising generator is a p' element); ``VermaModule.annihilates`` acts
+    with each once and tests its integer sums for zero.
     """
     emb = ctx.emb
     module = ctx.module
     v = cert.verma_vector
-    pprime = pprime_annihilators(emb) + pprime_full_annihilators(emb)
+    pprime = ctx.pprime_generators
     kills = module.annihilates(pprime + borel_annihilators(emb), v, cert.lam)
-    pprime_all = all(kills[:len(pprime)])
-    so7_sing = all(kills[len(pprime):])
     weight = module.weight_of(v)
     w_eps1 = weight.coords[0](cert.lam)
     weight_ok = (
@@ -512,8 +538,8 @@ def run_certificate_checks(ctx: SolverContext, cert: SingularCertificate) -> Non
     verdict = nonstandard_verdict(cert.lam)
     cert.checks.update(
         {
-            "p_prime_singular": bool(pprime_all),
-            "so7_singular": bool(so7_sing),
+            "p_prime_singular": all(kills[:len(pprime)]),
+            "so7_singular": all(kills[len(pprime):]),
             "weight_eps1": rational_to_string(w_eps1),
             "weight_matches_reflection_law": bool(weight_ok),
             "nonstandard_so7": verdict.nonstandard_so7,

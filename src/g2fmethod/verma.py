@@ -48,12 +48,19 @@ and five of exponents, and the Python ``int`` sums are held for a window of
 output slabs, each handed on (divided once, or only tested for zero by the
 certificate checks) as soon as no later input slab can reach it.
 ``singular_search`` reads them over each weight block of its degree, one
-matrix row per (annihilator, output code).  It solves only the blocks that
-can hold a kernel.  The action at a fixed parameter value is a
-representation, [X, Y] v = X Y v - Y X v, so the elements that kill a vector
-form a Lie subalgebra: a Cartan element among the annihilators and their
-pairwise brackets kills every vector they all kill, and a block on which its
-diagonal multiplier is nonzero everywhere has an empty kernel.
+matrix row per (annihilator, output code), each block made from its key.  It
+lists and solves only the blocks that can hold a kernel.  The action at a
+fixed parameter value is a representation, [X, Y] v = X Y v - Y X v, so the
+elements that kill a vector form a Lie subalgebra, and two tests, each
+decided per block key on one representative monomial, skip a block exactly:
+
+* a Cartan element among the annihilators and their pairwise brackets kills
+  every vector they all kill; it acts on a weight block by one scalar, the
+  value of the block's weight, so where that is nonzero the kernel is zero;
+* when the annihilators generate the nilradical of the so(7) Borel, a vector
+  they kill is a highest-weight vector, so by Harish-Chandra's theorem its
+  weight mu satisfies  mu + rho in W(lam * eps1 + rho);  a block whose
+  weight fails this has an empty kernel.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from itertools import chain, combinations, compress, repeat
 from operator import add, mul, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .liealg import Element, Label, StructureTable, WeightVec, eps_weight
+from .liealg import Element, Label, StructureTable, WeightVec, _positive_roots_so_odd, eps_weight
 from .linsolve import kernel_basis
 from .operators import DiffOperator, op_apply
 from .polynomials import (
@@ -144,6 +151,9 @@ class VermaModule:
         self._memo: Dict[Label, Dict[Move, LambdaPoly]] = {
             l: self._action_table(l, grade[l]) for l in so7.labels
         }
+        # annihilator lists (by element keys) -> whether they generate the
+        # Borel nilradical; filled by ``singular_search``
+        self._generates: Dict[Tuple[frozenset, ...], bool] = {}
 
     def _y_coords(self, x: Element) -> Tuple[Tuple[int, Fraction], ...]:
         """A grade -1 element as (coordinate position, coefficient) pairs."""
@@ -357,7 +367,11 @@ class VermaModule:
         separately, its kernel concatenated to the others': every
         annihilator is a weight vector, so its action maps the monomials of
         one weight into one weight space, and the stacked matrix is block
-        diagonal in these blocks.  That keeps the elimination small.
+        diagonal in these blocks.  That keeps the elimination small.  A
+        block is named by its key (a, b) = (m1 - m4, m5 - m2), the eps2 and
+        eps3 coordinates of its weight, and its monomials are made from the
+        key (``_block_keys``, ``_block``) in ascending key order, each block
+        in descending term order: no monomial of a skipped block is made.
 
         The action runs at ``lam0`` over the integers: it is 1/den times the
         integer action of the compiled moves, with ``den`` the annihilator's
@@ -371,41 +385,57 @@ class VermaModule:
         cost of the elimination does: the rows of an annihilator go in
         descending order of their output code.
 
-        Blocks where a Cartan element is injective are skipped, with no rows
-        and no elimination.  If X v = Y v = 0 then [X, Y] v = 0, since the
-        action at ``lam0`` is a representation, so every vector the
-        annihilators kill is killed by each of their pairwise brackets too.
-        Those of the annihilators and brackets whose compiled action is one
-        group with no exponent change act diagonally (they are Cartan
-        elements, each a scalar on a weight block); if one's multiplier is
-        nonzero on every monomial of a block (``_injective``), it is
-        injective there, and the block's kernel is zero.  With e and f of
-        the Levi sl(2) in the p' set, h = [e, f] is such an element, and it
-        leaves 11 of the 221 blocks at degree 10 to be solved.  The result
-        is exactly the unpruned one.
+        Two tests skip a block, with no rows and no elimination, and each is
+        decided from the key alone, on one representative monomial
+        (``_representative``), before the block is listed.  Both rest on the
+        action at ``lam0`` being a representation, [X, Y] v = X Y v - Y X v,
+        so every vector the annihilators kill is killed by the whole Lie
+        subalgebra they generate.
+
+        * Cartan-injective.  Those of the annihilators and their pairwise
+          brackets whose compiled action is one group with no exponent
+          change are Cartan elements.  Such an H acts on y^m v by the value
+          of the monomial's weight on H, which is one number on the whole
+          block; if it is nonzero there, H is injective on the block and the
+          block's kernel is zero.  With e and f of the Levi sl(2) in the p'
+          set, h = [e, f] leaves 11 of the 221 blocks at degree 10.
+        * Linkage, applied only when the annihilators generate the
+          nilradical of the so(7) Borel: every positive root vector lies in
+          the subalgebra they generate (``StructureTable.generated_span``,
+          decided once per list and kept on the module).  A vector of
+          weight mu they kill is then a highest-weight vector, and the
+          centre of U(so(7)) acts on it by the central character of mu; it
+          acts on all of the module by that of lam0 * eps1, the module being
+          a quotient of the Verma module of that highest weight.  By
+          Harish-Chandra's theorem the two agree only if mu + rho lies in
+          the Weyl group orbit of lam0 * eps1 + rho (``_linkage_test``), so
+          an unlinked block's kernel is zero.  The weight is constant on a
+          block, so one representative decides it.  The Borel set keeps 8
+          of the 221 blocks at degree 10 and lambda 5/2.
+
+        The result is exactly the unpruned one.
         """
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        monos = self.monomials_of_degree(degree)
-        blocks: Dict[Tuple[int, int], List[Monomial]] = {}
-        for m in monos:
-            key = (m[0] - m[3], m[4] - m[1])
-            blocks.setdefault(key, []).append(m)
-
-        w = _width(monos)
+        w = (degree + 1).bit_length()           # ``_width`` of the degree's monomials
         actions = [self._compile(ann, w, lam0)[0] for ann in annihilators]
         # the annihilators and their brackets that act diagonally at lam0
         brackets = (self._compile(self.so7.bracket(a, b), w, lam0)[0]
                     for a, b in combinations(annihilators, 2))
         diagonal = [groups[0][3] for groups in chain(actions, brackets)
                     if len(groups) == 1 and groups[0][0] == 0]
+        linked = self._linkage_test(lam0) if self._generates_borel_nilradical(annihilators) else None
         vectors: List[VermaVector] = []
-        for key in sorted(blocks):
-            block = blocks[key]
+        for a, b in _block_keys(degree):
+            rep = _representative(a, b, degree)
+            if linked is not None and not linked(rep):
+                continue
+            columns = [[e] for e in rep]
+            if any(_multipliers(moves, columns, 1)[0] for moves in diagonal):
+                continue
+            block = _block(a, b, degree)
             n = len(block)
             columns = list(zip(*block))
-            if any(_injective(moves, columns, n) for moves in diagonal):
-                continue
             codes = [pack_monomial(m, w) for m in block]
             matrix: List[List[int]] = []
             for groups in actions:
@@ -436,6 +466,39 @@ class VermaModule:
                     )
                 )
         return vectors
+
+    def _generates_borel_nilradical(self, elements: Sequence[Element]) -> bool:
+        """Whether ``elements`` generate a subalgebra holding every positive
+        root vector of so(7); decided once per list of elements."""
+        key = tuple(map(_element_key, elements))
+        found = self._generates.get(key)
+        if found is None:
+            span = self.so7.generated_span(elements)
+            found = self._generates[key] = all(
+                span.contains(self.so7.coordinates({l: Fraction(1)})) for l in self.so7.positive_root_labels)
+        return found
+
+    def _linkage_test(self, lam0: Fraction):
+        """The predicate on monomials of one degree: whether the weight mu of
+        y^m v satisfies  mu + rho in W(lam0 * eps1 + rho).
+
+        W is the 48 signed permutations of the eps coordinates, and a vector
+        is in the orbit of another exactly when their sorted absolute values
+        agree.  Everything is scaled by 2q, q the denominator of lam0, so
+        the test runs on integers: 2q rho is q times the sum of the positive
+        roots of ``_positive_roots_so_odd(3)``.
+        """
+        q = lam0.denominator
+        two_rho = [int(sum(c)) for c in zip(*(eps for _, eps in _positive_roots_so_odd(3)))]
+        target = sorted(abs(2 * lam0.numerator * (k == 0) + q * r) for k, r in enumerate(two_rho))
+        roots = [[2 * q * int(c) for c in self.so7.roots[l].coords] for l in COORD_LABELS]
+
+        def linked(m: Monomial) -> bool:
+            shifted = (2 * lam0.numerator * (k == 0) + q * r + sum(map(mul, m, column))
+                       for k, (r, column) in enumerate(zip(two_rho, zip(*roots))))
+            return sorted(map(abs, shifted)) == target
+
+        return linked
 
 
 _HALF = Fraction(1, 2)
@@ -509,10 +572,29 @@ def _multipliers(moves: Tuple[Tuple[int, int, int], ...], columns: Sequence[Sequ
     return list(factors)
 
 
-def _injective(moves: Tuple[Tuple[int, int, int], ...], columns: Sequence[Sequence[int]], n: int) -> bool:
-    """Whether the diagonal operator of one group with no exponent change is
-    injective on ``n`` monomials: its multiplier is nonzero on every one."""
-    return all(_multipliers(moves, columns, n))
+def _block_keys(d: int) -> Iterator[Tuple[int, int]]:
+    """The keys (a, b) = (m1 - m4, m5 - m2) of the weight blocks of degree
+    ``d``, ascending: those with |a| + |b| <= d."""
+    for a in range(-d, d + 1):
+        r = d - abs(a)
+        yield from ((a, b) for b in range(-r, r + 1))
+
+
+def _representative(a: int, b: int, d: int) -> Monomial:
+    """One monomial of the block (a, b) of degree ``d``: the least m2, m4."""
+    m2, m4 = max(0, -b), max(0, -a)
+    return (a + m4, m2, d - abs(a) - abs(b), m4, b + m2)
+
+
+def _block(a: int, b: int, d: int) -> List[Monomial]:
+    """The monomials of the block (a, b) of degree ``d`` in descending term
+    order (``term_sort_key``): m1 = a + m4, m5 = b + m2 and
+    m3 = d - a - b - 2 (m2 + m4), so the order is m4 descending, then m2."""
+    lo2, lo4 = max(0, -b), max(0, -a)
+    free = d - a - b
+    return [(a + m4, m2, free - 2 * (m2 + m4), m4, b + m2)
+            for m4 in range((free - 2 * lo2) // 2, lo4 - 1, -1)
+            for m2 in range((free - 2 * m4) // 2, lo2 - 1, -1)]
 
 
 def _final_slabs(slabs: List[Slab], groups: List[Group]) -> Iterator[Dict[int, int]]:

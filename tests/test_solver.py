@@ -1,6 +1,9 @@
+import dataclasses
+import functools
 import gc
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -36,7 +39,7 @@ from g2fmethod.solver import (
     symbolic_so7_difference,
     verify_so7_singular,
 )
-from g2fmethod.verma import VermaVector, parse_verma
+from g2fmethod.verma import VermaVector, _block, _block_keys, parse_verma
 
 F = Fraction
 
@@ -457,6 +460,86 @@ def test_perturbed_certificates_fail_the_annihilator_checks(ctx):
         assert ctx.module.annihilates(elements, bad.verma_vector, bad.lam) == alone
         assert not all(alone)
 
+
+
+# -- the checks act with generators ---------------------------------------------
+
+
+def _nine_element_flags(ctx, v, lam):
+    """``p_prime_singular`` and ``so7_singular`` from every element that the
+    two p' sets and the Borel set name."""
+    pprime = pprime_annihilators(ctx.emb) + pprime_full_annihilators(ctx.emb)
+    kills = ctx.module.annihilates(pprime + borel_annihilators(ctx.emb), v, lam)
+    return {"p_prime_singular": all(kills[:len(pprime)]), "so7_singular": all(kills[len(pprime):])}
+
+
+def _checked_flags(ctx, cert, v, lam):
+    probe = dataclasses.replace(cert, verma_vector=v, lam=lam, checks={})
+    run_certificate_checks(ctx, probe)
+    return {k: probe.checks[k] for k in ("p_prime_singular", "so7_singular")}
+
+
+@functools.cache
+def _even_certificate(ctx, N):
+    return solve_even(ctx, N, verify=False)
+
+
+@given(st.integers(1, 8), st.integers(0, 10 ** 6), st.integers(-3, 3), st.sampled_from((0, 0, 1, -2)))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_generator_checks_give_the_nine_element_flags_on_perturbed_certificates(ctx, N, pick, delta, shift):
+    """One coefficient moved by ``delta`` (left alone at 0) and the
+    parameter moved by ``shift``: the five distinct elements the checks act
+    with give the flags that all nine give."""
+    cert = _even_certificate(ctx, N)
+    terms = dict(cert.verma_vector.terms)
+    m = sorted(terms)[pick % len(terms)]
+    terms[m] = terms[m] + delta
+    v, lam = VermaVector(terms), cert.lam + shift
+    assert _checked_flags(ctx, cert, v, lam) == _nine_element_flags(ctx, v, lam)
+
+
+def test_generator_checks_give_the_nine_element_flags_on_random_weight_vectors(ctx):
+    """Seeded random vectors on one weight block, and the p' kernel vectors
+    of small degrees, which some of the nine elements kill and some not."""
+    rng = random.Random(2028)
+    cert = _even_certificate(ctx, 1)
+    seen = set()
+    for _ in range(60):
+        d = rng.randint(0, 6)
+        a, b = rng.choice(list(_block_keys(d)))
+        lam = F(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+        block = _block(a, b, d)
+        picked = rng.sample(block, rng.randint(1, len(block)))
+        v = VermaVector({m: LambdaPoly.const(rng.randint(-5, 5) or 1) for m in picked})
+        flags = _checked_flags(ctx, cert, v, lam)
+        assert flags == _nine_element_flags(ctx, v, lam)
+        seen.add(tuple(flags.values()))
+    for d in range(7):
+        for lam in (F(d - 5, 2), F(0), F(1)):
+            for v in ctx.module.singular_search(d, lam, pprime_annihilators(ctx.emb)):
+                flags = _checked_flags(ctx, cert, v, lam)
+                assert flags == _nine_element_flags(ctx, v, lam)
+                seen.add(tuple(flags.values()))
+    assert {(False, False), (True, True)} <= seen
+
+
+def test_the_closure_proof_needs_every_pprime_generator(ctx, monkeypatch):
+    """The three p' generators generate the full p' set; without the
+    nilradical generator gen(1) they do not, and the checks raise."""
+    from g2fmethod import solver
+
+    full = pprime_full_annihilators(ctx.emb)
+    solver.prove_generates(ctx.emb.so7, pprime_annihilators(ctx.emb), full)
+    assert ctx.pprime_generators == pprime_annihilators(ctx.emb)
+    assert len({frozenset(x.items()) for x in ctx.pprime_generators + borel_annihilators(ctx.emb)}) == 5
+    mutant = [x for x in pprime_annihilators(ctx.emb) if x != ctx.emb.gen(1)]
+    assert len(mutant) == 2
+    with pytest.raises(ValueError):
+        solver.prove_generates(ctx.emb.so7, mutant, full)
+    monkeypatch.setattr(solver, "pprime_annihilators", lambda emb: mutant)
+    fresh = SolverContext(ctx.emb)
+    with pytest.raises(ValueError):
+        run_certificate_checks(fresh, dataclasses.replace(_even_certificate(ctx, 1), checks={}))
 
 
 # -- one object per distinct certificate coefficient ---------------------------

@@ -306,17 +306,23 @@ def _pruning_cases(emb):
         "borel": borel_annihilators(emb),
         # a Cartan element in the list itself, beside a raising generator
         "cartan": [{"h2": F(1)}, {1: F(1)}],
+        # two simple raising generators: they do not generate the Borel
+        # nilradical, and their kernel meets blocks unlinked to lambda
+        "simple2": [{1: F(1)}, {2: F(1)}],
     }
 
 
-@pytest.mark.parametrize("annihilators", ["pprime", "pprime_full", "borel", "cartan"])
+@pytest.mark.parametrize("annihilators", ["pprime", "pprime_full", "borel", "cartan", "simple2"])
 @pytest.mark.parametrize("degree", range(9))
 def test_pruned_search_matches_the_unpruned_one(module, emb, monkeypatch, annihilators, degree):
     """Equal kernels, and every block the search skips has an empty kernel.
 
     The skipped blocks are read off the search's own ``kernel_basis`` calls:
     they come in block order, and a solved block's rows span what the
-    reference rows of that block span."""
+    reference rows of that block span.  The values of lambda include the
+    special one, values with kernels off it (degree 1 at 0, degree 2 at 1)
+    and the negative half-integers and integers where more weights are
+    linked to lambda."""
     anns = _pruning_cases(emb)[annihilators]
     solved = []
 
@@ -326,7 +332,8 @@ def test_pruned_search_matches_the_unpruned_one(module, emb, monkeypatch, annihi
 
     monkeypatch.setattr(verma, "kernel_basis", recording_kernel_basis)
     skips = 0
-    lams = (F(degree - 5, 2), F(degree - 4, 2), F(0), F(1, 3), F(-7, 4))
+    lams = tuple(dict.fromkeys((F(degree - 5, 2), F(degree - 4, 2), F(0), F(1, 3), F(-7, 4), F(-1, 2),
+                                F(-3, 2), F(-5, 2), F(1), F(-2), F(-3))))
     for lam, want in zip(lams, unpruned_search(module, degree, lams, anns)):
         solved.clear()
         got = module.singular_search(degree, lam, anns)
@@ -342,22 +349,48 @@ def test_pruned_search_matches_the_unpruned_one(module, emb, monkeypatch, annihi
             assert kernel == [], (degree, lam, block[0])
             skips += 1
         assert nxt is None, (degree, lam)
-    if degree >= 2 and annihilators != "borel":
+    if degree >= 2 and annihilators != "simple2":
         assert skips > 0
-    if annihilators == "borel":
+    if annihilators == "simple2":
         assert skips == 0
 
 
-def test_a_cartan_element_is_injective_only_where_no_multiplier_vanishes(module):
-    """The skip test asks for a nonzero multiplier on every monomial, not on
-    some: h2 acts by zero on y3 v and not on y1 v at any parameter value."""
-    w = 2
-    groups, _ = module._compile({"h2": F(1)}, w, F(1, 3))
-    assert len(groups) == 1 and groups[0][0] == 0
-    moves = groups[0][3]
-    for monos, injective in (([(1, 0, 0, 0, 0)], True), ([(0, 0, 1, 0, 0)], False),
-                             ([(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)], False)):
-        assert verma._injective(moves, list(zip(*monos)), len(monos)) is injective
+def test_only_a_generating_set_of_the_borel_nilradical_gets_the_linkage_skip(module, emb):
+    verdicts = {name: module._generates_borel_nilradical(anns) for name, anns in _pruning_cases(emb).items()}
+    assert verdicts == {"pprime": False, "pprime_full": False, "borel": True, "cartan": False,
+                        "simple2": False}
+    # the whole nilradical, listed in any order, generates itself
+    assert module._generates_borel_nilradical([{l: F(1)} for l in range(9, 0, -1)])
+
+
+def test_a_cartan_multiplier_is_constant_on_each_weight_block(module):
+    """A Cartan element acts on y^m v by the value of the monomial's weight,
+    so its multiplier at the block's representative is its multiplier on
+    every monomial of the block: the per-key skip decides the block."""
+    for d in range(7):
+        w = (d + 1).bit_length()
+        for h, lam in (("h1", F(1, 3)), ("h2", F(-5, 2)), ("h3", F(2)), ("h1", F(d - 5, 2))):
+            groups, _ = module._compile({h: F(1)}, w, lam)
+            assert len(groups) == 1 and groups[0][0] == 0
+            moves = groups[0][3]
+            for a, b in verma._block_keys(d):
+                block = verma._block(a, b, d)
+                rep = verma._representative(a, b, d)
+                assert rep in block
+                want = verma._multipliers(moves, [[e] for e in rep], 1)
+                assert verma._multipliers(moves, list(zip(*block)), len(block)) == want * len(block)
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_direct_blocks_are_the_share_of_the_degree_listing(module, degree):
+    """Each block made from its key is its share of ``monomials_of_degree``,
+    in the same order, and the keys come in the search's ascending order."""
+    blocks = {}
+    for m in module.monomials_of_degree(degree):
+        blocks.setdefault((m[0] - m[3], m[4] - m[1]), []).append(m)
+    keys = list(verma._block_keys(degree))
+    assert keys == sorted(blocks)
+    assert [verma._block(a, b, degree) for a, b in keys] == [blocks[k] for k in keys]
 
 
 def test_verma_grammar_roundtrip(module):
