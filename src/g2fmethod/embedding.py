@@ -78,30 +78,9 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
         -2: {-2: one},
     }
 
-    # bracket closure inside so(7), spanned in so(7) basis coordinates
-    span = SparseSpan()
-    basis_elems: List[Element] = []
-
-    def add(elem: Element) -> bool:
-        if span.add(so7.coordinates(elem)):
-            basis_elems.append(elem)
-            return True
-        return False
-
-    for e in gens.values():
-        add(e)
-    while True:
-        grew = False
-        current = list(basis_elems)
-        for a in current:
-            for b in current:
-                br = so7.bracket(a, b)
-                if br and add(br):
-                    grew = True
-        if not grew:
-            break
-    if span.dimension != 14:
-        raise ValueError(f"closure dimension {span.dimension}, expected 14")
+    dim = so7.generated_span(list(gens.values())).dimension
+    if dim != 14:
+        raise ValueError(f"closure dimension {dim}, expected 14")
 
     # labeled basis: iterated brackets of the generators, then the Cartan
     images: Dict[Label, Element] = dict(gens)
@@ -136,9 +115,9 @@ def embed_g2(so7: Optional[StructureTable] = None) -> Embedding:
     for l in labels:
         if not isinstance(l, int):
             continue
-        base = g2.entries[l]
+        base = g2.matrices[l]
         pair_vals = [
-            _eigen_ratio(sparse_commutator(g2.entries[h], base), base) for h in ("h1", "h2")
+            _eigen_ratio(sparse_commutator(g2.matrices[h], base), base) for h in ("h1", "h2")
         ]
         a1, a2 = _alpha_from_pairings(*pair_vals)
         g2.roots[l] = alpha_weight((a1, a2))

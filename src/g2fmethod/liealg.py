@@ -16,8 +16,8 @@ normalization of the short roots, keeps every structure constant rational,
 and gives each pair [g_a, g_-a] a non-negative coroot.  All downstream
 bracket data is computed from these matrices, never assumed.
 
-The matrices are stored dense, but every product is formed from their
-nonzero entries only: a root matrix has two, a Cartan matrix at most 2n+1.
+Each basis matrix is stored as its nonzero entries, and every product is
+formed from those only: a root matrix has two, a Cartan matrix at most 2n+1.
 Each commutator [A, B] = AB - BA is expressed in the basis through one
 elimination over the sparse basis matrices, done once per table.  A table
 is then checked for antisymmetry, for ad-diagonal Cartan action and for the
@@ -46,24 +46,11 @@ from .scalars import LambdaPoly, rational_to_string
 
 Label = Union[int, str]
 Element = Dict[Label, Fraction]
-Matrix = Tuple[Tuple[Fraction, ...], ...]
 SparseMatrix = Dict[Tuple[int, int], Fraction]
 
 # ---------------------------------------------------------------------------
-# matrices: dense for storage, sparse for products
+# matrices, as their nonzero entries keyed by (row, column)
 # ---------------------------------------------------------------------------
-
-
-def sparse_entries(a: Matrix) -> SparseMatrix:
-    """The nonzero entries of a dense matrix, keyed by (row, column)."""
-    return {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x != 0}
-
-
-def dense_matrix(entries: SparseMatrix, size: int) -> Matrix:
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for (i, j), x in entries.items():
-        rows[i][j] = x
-    return tuple(tuple(row) for row in rows)
 
 
 def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -231,6 +218,7 @@ class StructureTable:
 
     ``labels`` fixes the canonical basis order.  ``brackets`` maps ordered
     label pairs to sparse element dicts; it is complete (both orders stored).
+    ``matrices`` holds each basis matrix as its nonzero entries.
     Root labels are signed integers; Cartan labels are 'h1', 'h2', ...
     """
 
@@ -239,7 +227,7 @@ class StructureTable:
     roots: Dict[Label, WeightVec]
     simple_coords: Dict[Label, Tuple[int, ...]]
     cartan_labels: List[str]
-    matrices: Dict[Label, Matrix]
+    matrices: Dict[Label, SparseMatrix]
     brackets: Dict[Tuple[Label, Label], Element]
 
     # -- elements ----------------------------------------------------------
@@ -275,17 +263,12 @@ class StructureTable:
                    if (z := self.bracket(x, y)) and span.add(self.coordinates(z))]
         return span
 
-    @functools.cached_property
-    def entries(self) -> Dict[Label, SparseMatrix]:
-        """The nonzero entries of each basis matrix."""
-        return {l: sparse_entries(m) for l, m in self.matrices.items()}
-
-    def matrix_of(self, x: Element) -> Matrix:
+    def matrix_of(self, x: Element) -> SparseMatrix:
         acc: SparseMatrix = {}
         for l, c in x.items():
-            for ij, v in self.entries[l].items():
+            for ij, v in self.matrices[l].items():
                 acc[ij] = acc.get(ij, Fraction(0)) + c * v
-        return dense_matrix(acc, len(next(iter(self.matrices.values()))))
+        return {ij: v for ij, v in acc.items() if v != 0}
 
     @property
     def dimension(self) -> int:
@@ -298,13 +281,20 @@ class StructureTable:
     def cartan_value(self, h_label: str, weight: WeightVec):
         """Value of a weight on a Cartan basis element.
 
-        Read off the diagonal of the Cartan matrix: the orthonormal weight
+        An orthonormal weight is read off the diagonal of the Cartan matrix:
         coordinate i pairs with the diagonal entry at the i-th plus vector.
+        A simple-root weight takes on h_i its pairing with the i-th simple
+        root under the invariant form, the normalization of the subalgebra's
+        h1 = [g_1, g_-1] and h2 = 3 [g_2, g_-2].
         """
+        if weight.basis == "alpha":
+            simple = [Fraction(0)] * len(weight.coords)
+            simple[self.cartan_labels.index(h_label)] = Fraction(1)
+            return weight.pair(alpha_weight(simple))
         m = self.matrices[h_label]
         total = None
         for i, c in enumerate(weight.coords):
-            term = c * m[i][i]
+            term = c * m.get((i, i), Fraction(0))
             total = term if total is None else total + term
         return Fraction(0) if total is None else total
 
@@ -528,7 +518,7 @@ def build_so_odd(n: int) -> StructureTable:
         roots=roots,
         simple_coords=simple_coords,
         cartan_labels=[f"h{i}" for i in range(1, n + 1)],
-        matrices={l: dense_matrix(e, 2 * n + 1) for l, e in entries.items()},
+        matrices=entries,
         brackets={},
     )
     _fill_brackets(table)
@@ -542,12 +532,12 @@ def _fill_brackets(table: StructureTable) -> None:
     matrices and expressed in the basis by one elimination done up front.
     """
     order = list(table.labels)
-    span = SparseSpan({l: table.entries[l] for l in order})
+    span = SparseSpan({l: table.matrices[l] for l in order})
     for a in order:
         for b in order:
             if (a, b) in table.brackets:
                 continue
-            m = sparse_commutator(table.entries[a], table.entries[b])
+            m = sparse_commutator(table.matrices[a], table.matrices[b])
             val = span.express(m) if m else {}
             if val is None:
                 raise ValueError("bracket left the algebra span")

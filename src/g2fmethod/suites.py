@@ -41,6 +41,7 @@ def structure(ctx: SolverContext) -> str:
     _require(so7.jacobi_check(), "so(7) Jacobi identity fails")
     _require(build_so_odd(2).dimension == 10, "so(5) does not have dimension 10")
     _require(emb.g2.dimension == 14, f"image has dimension {emb.g2.dimension}")
+    _require(emb.g2.eigenvector_check(), "image root vectors are not Cartan eigenvectors")
     _require(emb.g2.jacobi_check(), "image Jacobi identity fails")
     _verify_homomorphism(emb)
     return "so(7) dim 21, 9 positive roots, Jacobi OK; image dim 14"

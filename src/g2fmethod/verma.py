@@ -144,7 +144,7 @@ class VermaModule:
         self._char: Dict[Label, LambdaPoly] = {}
         for l in so7.labels:
             if isinstance(l, str):
-                self._char[l] = LAMBDA * so7.matrices[l][0][0]
+                self._char[l] = LAMBDA * so7.matrices[l].get((0, 0), Fraction(0))
             elif l not in self.nilradical_neg:
                 self._char[l] = LambdaPoly()
         # one action table per basis label

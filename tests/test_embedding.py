@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -5,13 +6,14 @@ import pytest
 
 from g2fmethod.embedding import (
     EXPECTED_ARROWS,
+    embed_g2,
     inclusion_lattice,
     inject_weight,
     intersect_parabolic,
     parabolic,
     project_weight,
 )
-from g2fmethod.liealg import alpha_weight, eps_weight, g2_psi
+from g2fmethod.liealg import alpha_weight, build_so_odd, eps_weight, g2_psi
 from g2fmethod.linsolve import rank
 
 F = Fraction
@@ -19,6 +21,11 @@ F = Fraction
 
 def test_closure_dimension(emb):
     assert emb.g2.dimension == 14
+
+
+def test_closure_dimension_is_checked():
+    with pytest.raises(ValueError, match=r"^closure dimension 10, expected 14$"):
+        embed_g2(build_so_odd(2))
 
 
 def test_cartan_images(emb):
@@ -47,6 +54,26 @@ def test_g2_table_checks(emb):
     # 6 positive roots labeled in graded lex order
     assert emb.g2.positive_root_labels == [1, 2, 3, 4, 5, 6]
     assert emb.g2.simple_coords[6] == (3, 2)
+
+
+def test_g2_cartan_values_match_brackets(emb):
+    # [h, g_l] = <root_l, alpha_i> g_l with h = h_i, for every root vector
+    g2 = emb.g2
+    assert g2.cartan_value("h1", g2.roots[1]) == 2
+    assert g2.cartan_value("h2", g2.roots[2]) == 6
+    for h in g2.cartan_labels:
+        for l in g2.labels:
+            if isinstance(l, int):
+                value = g2.cartan_value(h, g2.roots[l])
+                assert g2.brackets[(h, l)] == ({l: value} if value else {}), (h, l)
+
+
+def test_g2_eigenvector_check(emb):
+    assert emb.g2.eigenvector_check()
+    brackets = dict(emb.g2.brackets)
+    brackets[("h1", 1)] = {1: F(3)}
+    brackets[(1, "h1")] = {1: F(-3)}
+    assert not dataclasses.replace(emb.g2, brackets=brackets).eigenvector_check()
 
 
 def test_project_weight_values():
@@ -169,6 +196,11 @@ def test_dot_export(emb):
     assert '"p\'(1,0)" -> "p(1,0,1)";' in dot
 
 
+def _flat(entries):
+    """A 7x7 matrix given by its nonzero entries, flattened row by row."""
+    return [entries.get((i, j), F(0)) for i in range(7) for j in range(7)]
+
+
 def test_lattice_inclusions_match_dense_matrix_spans(emb):
     """The 39 strict inclusions, against the dense route: each parabolic
     spanned by its members' flattened 7x7 matrices (so(7) parabolics from the
@@ -178,7 +210,7 @@ def test_lattice_inclusions_match_dense_matrix_spans(emb):
     for table, rank_of_table in ((emb.so7, 3), (emb.g2, 2)):
         for mask in itertools.product((0, 1), repeat=rank_of_table):
             p = parabolic(table, mask)
-            flat[p.name] = [[x for row in table.matrices[l] for x in row] for l in p.member_labels()]
+            flat[p.name] = [_flat(table.matrices[l]) for l in p.member_labels()]
     expected = sorted(
         (a, b) for a in flat for b in flat
         if a != b and rank(flat[b] + flat[a]) == rank(flat[b])

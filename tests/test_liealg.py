@@ -15,6 +15,7 @@ from g2fmethod.liealg import (
     positive_combination,
     reflect,
 )
+from g2fmethod.linsolve import SparseSpan
 from g2fmethod.scalars import LAMBDA, LambdaPoly
 
 F = Fraction
@@ -44,6 +45,15 @@ def test_root_labels_follow_graded_lex(so7):
     assert so7.roots[9].coords == (1, 1, 0)
 
 
+def _dense(table, entries):
+    """The square matrix of the defining space with the given nonzero entries."""
+    size = 1 + max(max(ij) for m in table.matrices.values() for ij in m)
+    out = [[F(0)] * size for _ in range(size)]
+    for (i, j), x in entries.items():
+        out[i][j] = x
+    return out
+
+
 def test_defining_form_membership(so7):
     # A^t B + B A = 0 for the defining symmetric form
     n = 3
@@ -54,7 +64,7 @@ def test_defining_form_membership(so7):
         B[i - 1][n + i] = F(1)
         B[n + i][i - 1] = F(1)
     for label in so7.labels:
-        A = so7.matrices[label]
+        A = _dense(so7, so7.matrices[label])
         for r in range(size):
             for c in range(size):
                 lhs = sum(A[k][r] * B[k][c] for k in range(size))
@@ -63,11 +73,11 @@ def test_defining_form_membership(so7):
 
 
 def _dense_combination(table, x):
-    """sum_l c_l * M_l over the stored dense basis matrices, entry by entry."""
-    size = len(table.matrices[table.labels[0]])
-    out = [[F(0)] * size for _ in range(size)]
+    """sum_l c_l * M_l over the basis matrices made dense, entry by entry."""
+    out = _dense(table, {})
+    size = len(out)
     for label, c in x.items():
-        m = table.matrices[label]
+        m = _dense(table, table.matrices[label])
         for i in range(size):
             for j in range(size):
                 out[i][j] += c * m[i][j]
@@ -86,7 +96,7 @@ def _dense_commutator(a, b):
 def _assert_bracket_is_commutator(table, x, y):
     expected = _dense_commutator(_dense_combination(table, x), _dense_combination(table, y))
     z = table.bracket(x, y)
-    assert [list(row) for row in table.matrix_of(z)] == expected, (x, y)
+    assert _dense(table, table.matrix_of(z)) == expected, (x, y)
     assert _dense_combination(table, z) == expected, (x, y)
 
 
@@ -123,6 +133,53 @@ def test_cartan_prescriptions(so7):
 def test_eigenvector_and_antisymmetry(so7):
     assert so7.eigenvector_check()
     assert so7.antisymmetry_check()
+
+
+def _all_pairs_closure(table, elements):
+    """The generated subalgebra by the textbook loop: bracket every pair of
+    the current basis, round after round, until a round adds nothing."""
+    span, basis = SparseSpan(), []
+    for x in elements:
+        if span.add(table.coordinates(x)):
+            basis.append(x)
+    grew = True
+    while grew:
+        grew = False
+        for a in list(basis):
+            for b in list(basis):
+                z = table.bracket(a, b)
+                if z and span.add(table.coordinates(z)):
+                    basis.append(z)
+                    grew = True
+    return span
+
+
+def _assert_generated_span_is_closure(table, elements):
+    span = table.generated_span(elements)
+    ref = _all_pairs_closure(table, elements)
+    assert span.rows == ref.rows, elements
+    return span.dimension
+
+
+def test_generated_span_matches_all_pairs_closure(so7):
+    one = F(1)
+    cases = [
+        ([{1: one, 3: one}, {-1: one, -3: one}, {2: one}, {-2: one}], 14),
+        ([{1: one}, {2: one}, {3: one}], 9),
+        ([{l: one} for l in (1, 2, 3, -1, -2, -3)], 21),
+        ([{"h1": one}], 1),
+    ]
+    for elements, dim in cases:
+        assert _assert_generated_span_is_closure(so7, elements) == dim
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generated_span_matches_all_pairs_closure_on_random_lists(so7, n):
+    table = so7 if n == 3 else build_so_odd(n)
+    rng = random.Random(29 + n)
+    for _ in range(25):
+        labels = rng.sample(table.labels, rng.randint(1, 3))
+        _assert_generated_span_is_closure(table, [{l: F(1)} for l in labels])
 
 
 def test_jacobi_sampled(so7):
